@@ -24,14 +24,13 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
-#include <cstring>
 
 #include "analysis/interpreter.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "isa/bytecode.hh"
 #include "isa/opcode.hh"
+#include "isa/semantics.hh"
 
 namespace bvf::analysis
 {
@@ -44,29 +43,6 @@ using isa::Opcode;
 
 constexpr int kWarpSize = 32;
 constexpr std::uint32_t kFullMask = 0xffffffffu;
-
-/** Reinterpret a word as fp32 (matches the SM's data path). */
-float
-asFloat(Word w)
-{
-    float f;
-    std::memcpy(&f, &w, sizeof(f));
-    return f;
-}
-
-Word
-asWord(float f)
-{
-    Word w;
-    std::memcpy(&w, &f, sizeof(w));
-    return w;
-}
-
-std::int32_t
-asInt(Word w)
-{
-    return static_cast<std::int32_t>(w);
-}
 
 /** Is the guard a real predicate-register read (not the PT sentinel)? */
 bool
@@ -314,93 +290,20 @@ class RefMachine
             if (!((guard >> lane) & 1u))
                 continue;
             auto &regs = warp.regs[static_cast<std::size_t>(lane)];
-            const Word a = regs[instr.srcA];
+            if (instr.op == Opcode::S2R) {
+                regs[instr.dst] = specialValue(
+                    warp, lane, static_cast<isa::SpecialReg>(instr.flags));
+                continue;
+            }
             const Word b = instr.immB ? static_cast<Word>(instr.imm)
                                       : regs[instr.srcB];
-            Word result = 0;
-            switch (instr.op) {
-              case Opcode::Ffma:
-                result = asWord(asFloat(a) * asFloat(b)
-                                + asFloat(regs[instr.dst]));
-                break;
-              case Opcode::Fadd:
-                result = asWord(asFloat(a) + asFloat(b));
-                break;
-              case Opcode::Fmul:
-                result = asWord(asFloat(a) * asFloat(b));
-                break;
-              case Opcode::IAdd:
-                result = a + b;
-                break;
-              case Opcode::ISub:
-                result = a - b;
-                break;
-              case Opcode::IMul:
-                result = a * b;
-                break;
-              case Opcode::IMad:
-                result = a * b + regs[instr.dst];
-                break;
-              case Opcode::Mov:
-                result = b;
-                break;
-              case Opcode::S2R:
-                result = specialValue(
-                    warp, lane,
-                    static_cast<isa::SpecialReg>(instr.flags));
-                break;
-              case Opcode::Shl:
-                result = a << (b & 31u);
-                break;
-              case Opcode::Shr:
-                result = a >> (b & 31u);
-                break;
-              case Opcode::And:
-                result = a & b;
-                break;
-              case Opcode::Or:
-                result = a | b;
-                break;
-              case Opcode::Xor:
-                result = a ^ b;
-                break;
-              case Opcode::I2F:
-                result = asWord(static_cast<float>(asInt(a)));
-                break;
-              case Opcode::F2I:
-                result = static_cast<Word>(
-                    static_cast<std::int32_t>(asFloat(a)));
-                break;
-              case Opcode::Clz:
-                result = static_cast<Word>(std::countl_zero(a));
-                break;
-              case Opcode::Min:
-                result = static_cast<Word>(
-                    std::min(asInt(a), asInt(b)));
-                break;
-              case Opcode::Max:
-                result = static_cast<Word>(
-                    std::max(asInt(a), asInt(b)));
-                break;
-              case Opcode::SetP: {
-                const std::int32_t sa = asInt(a);
-                const std::int32_t sb = asInt(b);
-                bool p = false;
-                switch (static_cast<isa::CmpOp>(instr.flags)) {
-                  case isa::CmpOp::Lt: p = sa < sb; break;
-                  case isa::CmpOp::Le: p = sa <= sb; break;
-                  case isa::CmpOp::Gt: p = sa > sb; break;
-                  case isa::CmpOp::Ge: p = sa >= sb; break;
-                  case isa::CmpOp::Eq: p = sa == sb; break;
-                  case isa::CmpOp::Ne: p = sa != sb; break;
-                }
+            const Word result = isa::evalLane(instr.op, regs[instr.srcA],
+                                              b, regs[instr.dst],
+                                              instr.flags);
+            if (instr.op == Opcode::SetP) {
                 warp.preds[static_cast<std::size_t>(lane)][instr.dst] =
-                    p;
+                    result != 0;
                 continue;
-              }
-              default:
-                warp.aborted = true;
-                return;
             }
             regs[instr.dst] = result;
         }

@@ -5,10 +5,8 @@
 
 #include "campaign/journal.hh"
 
-#include <cstring>
-
 #include "common/atomic_file.hh"
-#include "common/crc32.hh"
+#include "common/bytes.hh"
 #include "common/logging.hh"
 
 namespace bvf::campaign
@@ -17,112 +15,40 @@ namespace bvf::campaign
 namespace
 {
 
-constexpr char journalMagic[4] = {'B', 'V', 'F', 'J'};
-constexpr char recordMagic[4] = {'J', 'R', 'E', 'C'};
+constexpr std::string_view journalMagic = "BVFJ";
+constexpr std::string_view recordMagic = "JREC";
 constexpr std::uint32_t journalVersion = 1;
 
 /** Upper bound on a record payload a reader will allocate. */
 constexpr std::uint32_t maxRecordBytes = 1u << 20;
 
-void
-putRaw(std::string &out, const void *data, std::size_t len)
-{
-    out.append(static_cast<const char *>(data), len);
-}
-
-template <typename T>
-void
-put(std::string &out, T value)
-{
-    putRaw(out, &value, sizeof(value));
-}
-
-void
-putString(std::string &out, const std::string &s)
-{
-    put(out, static_cast<std::uint32_t>(s.size()));
-    putRaw(out, s.data(), s.size());
-}
-
-/** Bounds-checked cursor over a record payload. */
-class PayloadReader
-{
-  public:
-    explicit PayloadReader(std::string_view bytes) : bytes_(bytes) {}
-
-    template <typename T>
-    bool
-    get(T &value)
-    {
-        if (off_ + sizeof(T) > bytes_.size())
-            return false;
-        std::memcpy(&value, bytes_.data() + off_, sizeof(T));
-        off_ += sizeof(T);
-        return true;
-    }
-
-    bool
-    getString(std::string &s)
-    {
-        std::uint32_t len = 0;
-        if (!get(len) || off_ + len > bytes_.size())
-            return false;
-        s.assign(bytes_.data() + off_, len);
-        off_ += len;
-        return true;
-    }
-
-    bool done() const { return off_ == bytes_.size(); }
-
-  private:
-    std::string_view bytes_;
-    std::size_t off_ = 0;
-};
-
-/** Doubles travel as raw bit patterns so resume is bit-identical. */
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
-double
-bitsDouble(std::uint64_t bits)
-{
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
 std::string
 serializeRecord(const AppResult &r)
 {
-    std::string payload;
-    put(payload, static_cast<std::uint8_t>(r.status));
-    put(payload, r.attempts);
-    put(payload, static_cast<std::uint8_t>(r.error.code));
-    put(payload, r.cycles);
-    put(payload, r.instructions);
+    ByteWriter payload;
+    payload.putU8(static_cast<std::uint8_t>(r.status));
+    payload.putU32(r.attempts);
+    payload.putU8(static_cast<std::uint8_t>(r.error.code));
+    payload.putU64(r.cycles);
+    payload.putU64(r.instructions);
     for (const double v : r.chipEnergy)
-        put(payload, doubleBits(v));
+        payload.putF64(v);
     for (const double v : r.bvfUnitsEnergy)
-        put(payload, doubleBits(v));
-    putString(payload, r.name);
-    putString(payload, r.abbr);
-    putString(payload, r.error.message);
-    return payload;
+        payload.putF64(v);
+    payload.putString(r.name);
+    payload.putString(r.abbr);
+    payload.putString(r.error.message);
+    return payload.take();
 }
 
 bool
 parseRecord(std::string_view payload, AppResult &out)
 {
-    PayloadReader reader(payload);
+    ByteReader reader(payload);
     std::uint8_t status = 0, code = 0;
-    if (!reader.get(status) || !reader.get(out.attempts)
-        || !reader.get(code) || !reader.get(out.cycles)
-        || !reader.get(out.instructions)) {
+    if (!reader.getU8(status) || !reader.getU32(out.attempts)
+        || !reader.getU8(code) || !reader.getU64(out.cycles)
+        || !reader.getU64(out.instructions)) {
         return false;
     }
     if (status > static_cast<std::uint8_t>(AppStatus::Quarantined))
@@ -130,22 +56,19 @@ parseRecord(std::string_view payload, AppResult &out)
     out.status = static_cast<AppStatus>(status);
     out.error.code = static_cast<ErrorCode>(code);
     for (double &v : out.chipEnergy) {
-        std::uint64_t bits = 0;
-        if (!reader.get(bits))
+        if (!reader.getF64(v))
             return false;
-        v = bitsDouble(bits);
     }
     for (double &v : out.bvfUnitsEnergy) {
-        std::uint64_t bits = 0;
-        if (!reader.get(bits))
+        if (!reader.getF64(v))
             return false;
-        v = bitsDouble(bits);
     }
-    if (!reader.getString(out.name) || !reader.getString(out.abbr)
-        || !reader.getString(out.error.message)) {
+    if (!reader.getString(out.name, maxRecordBytes)
+        || !reader.getString(out.abbr, maxRecordBytes)
+        || !reader.getString(out.error.message, maxRecordBytes)) {
         return false;
     }
-    return reader.done();
+    return reader.exhausted();
 }
 
 } // namespace
@@ -166,33 +89,30 @@ std::string
 serializeJournal(std::uint32_t configCrc,
                  std::span<const AppResult> results)
 {
-    std::string out;
-    putRaw(out, journalMagic, sizeof(journalMagic));
-    put(out, journalVersion);
-    put(out, configCrc);
+    ByteWriter out;
+    out.putBytes(journalMagic);
+    out.putU32(journalVersion);
+    out.putU32(configCrc);
     for (const AppResult &r : results) {
         const std::string payload = serializeRecord(r);
-        putRaw(out, recordMagic, sizeof(recordMagic));
-        put(out, static_cast<std::uint32_t>(payload.size()));
-        put(out, crc32(payload.data(), payload.size()));
-        out += payload;
+        out.putBytes(recordMagic);
+        out.putU32(static_cast<std::uint32_t>(payload.size()));
+        out.putU32(crc32(payload.data(), payload.size()));
+        out.putBytes(payload);
     }
-    return out;
+    return out.take();
 }
 
 Result<JournalLoad>
 parseJournal(std::string_view bytes, std::uint32_t expectConfigCrc)
 {
-    const std::size_t headerBytes = sizeof(journalMagic)
-                                    + 2 * sizeof(std::uint32_t);
-    if (bytes.size() < headerBytes
-        || std::memcmp(bytes.data(), journalMagic, sizeof(journalMagic))
-               != 0) {
+    ByteReader in(bytes);
+    std::string_view magic;
+    std::uint32_t version = 0, configCrc = 0;
+    if (!in.getBytes(magic, journalMagic.size()) || magic != journalMagic
+        || !in.getU32(version) || !in.getU32(configCrc)) {
         return Error{ErrorCode::Corrupt, "not a BVF campaign journal"};
     }
-    std::uint32_t version = 0, configCrc = 0;
-    std::memcpy(&version, bytes.data() + 4, sizeof(version));
-    std::memcpy(&configCrc, bytes.data() + 8, sizeof(configCrc));
     if (version != journalVersion) {
         return Error{ErrorCode::Unsupported,
                      strFormat("unsupported journal version %u", version)};
@@ -213,35 +133,30 @@ parseJournal(std::string_view bytes, std::uint32_t expectConfigCrc)
         return load;
     };
 
-    std::size_t off = headerBytes;
-    while (off < bytes.size()) {
-        const std::size_t frameBytes = sizeof(recordMagic)
-                                       + 2 * sizeof(std::uint32_t);
-        if (off + frameBytes > bytes.size()) {
+    while (!in.exhausted()) {
+        std::string_view marker, payload;
+        std::uint32_t payloadBytes = 0, crc = 0;
+        if (in.remaining() < recordMagic.size() + 8) {
             return salvage(strFormat(
                 "journal ends inside record %zu's frame; dropped the "
                 "in-flight tail", load.results.size()));
         }
-        if (std::memcmp(bytes.data() + off, recordMagic,
-                        sizeof(recordMagic)) != 0) {
+        in.getBytes(marker, recordMagic.size());
+        if (marker != recordMagic) {
             return salvage(strFormat("record %zu frame marker is corrupt",
                                      load.results.size()));
         }
-        std::uint32_t payloadBytes = 0, crc = 0;
-        std::memcpy(&payloadBytes, bytes.data() + off + 4,
-                    sizeof(payloadBytes));
-        std::memcpy(&crc, bytes.data() + off + 8, sizeof(crc));
+        in.getU32(payloadBytes);
+        in.getU32(crc);
         if (payloadBytes > maxRecordBytes) {
             return salvage(strFormat("record %zu claims implausible size "
                                      "%u", load.results.size(),
                                      payloadBytes));
         }
-        if (off + frameBytes + payloadBytes > bytes.size()) {
+        if (!in.getBytes(payload, payloadBytes)) {
             return salvage(strFormat("record %zu is truncated",
                                      load.results.size()));
         }
-        const std::string_view payload =
-            bytes.substr(off + frameBytes, payloadBytes);
         if (crc32(payload.data(), payload.size()) != crc) {
             return salvage(strFormat("record %zu checksum mismatch",
                                      load.results.size()));
@@ -252,7 +167,6 @@ parseJournal(std::string_view bytes, std::uint32_t expectConfigCrc)
                                      load.results.size()));
         }
         load.results.push_back(std::move(r));
-        off += frameBytes + payloadBytes;
     }
     return load;
 }

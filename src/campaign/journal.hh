@@ -12,7 +12,9 @@
  * Energies are stored as raw IEEE-754 bit patterns, so a resumed
  * campaign reports bit-identical numbers.
  *
- * Binary format (little-endian):
+ * Binary format (little-endian, written with the common/bytes.hh
+ * codec; earlier builds wrote host byte order, byte-identical on
+ * little-endian hosts):
  *   header: "BVFJ" u32 version(=1) u32 configCrc
  *   record: "JREC" u32 payloadBytes u32 crc32(payload) payload
  *

@@ -10,14 +10,22 @@
  * AccessSink (e.g. an EnergyAccountant), producing statistics identical
  * to online accounting. A TeeSink allows doing both at once.
  *
- * Binary format (little-endian, versioned header):
+ * Binary format (little-endian, versioned header), written with the
+ * common/bytes.hh codec:
  *   "BVFT" u32_version(=2)
  *   batches: "BTCH" u32 payloadBytes, u32 recordCount,
  *            u32 crc32(payload), payloadBytes bytes of records
- *   footer:  "BVFE" u64 totalRecords, u32 crc32(totalRecords)
+ *   footer:  "BVFE" u64 totalRecords, u32 crc32(u64 totalRecords)
  *   record:  u8 kind, u8 unit/channelLo, u8 type/channelHi, u8 flags,
- *            u32 activeMask, u64 cycle, u32 count, count x payload
- *            (u32 words for kind=Access/Noc, u64 for kind=Fetch)
+ *            u32 activeMask, u64 cycle, u32 count, 4 zero padding
+ *            bytes, count x payload (u32 words for kind=Access/Noc,
+ *            u64 for kind=Fetch)
+ *
+ * Earlier builds wrote the same layout in host byte order (the record
+ * header as a raw struct, hence the padding); on little-endian hosts
+ * those files are byte-identical to what this codec writes and reads.
+ * Replay never allocates more than the bytes actually present: counts
+ * and lengths are checked against, or grown with, the delivered input.
  *
  * Batches are CRC-checked *before* any contained record reaches the
  * sink, so corruption never feeds garbage into an accountant; the
@@ -33,8 +41,8 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
+#include "common/bytes.hh"
 #include "common/result.hh"
 #include "sram/access_sink.hh"
 
@@ -120,12 +128,11 @@ class TraceWriter : public sram::AccessSink
     std::uint64_t records() const { return records_; }
 
   private:
-    void appendRecord(const void *header, std::size_t headerBytes,
-                      const void *payload, std::size_t payloadBytes);
+    void endRecord();
     void flushBatch();
 
     std::ostream &out_;
-    std::vector<char> batch_;          //!< pending batch payload
+    ByteWriter batch_;                 //!< pending batch payload
     std::uint32_t batchRecords_ = 0;
     std::uint64_t records_ = 0;
     bool ioError_ = false;

@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 
+#include "common/bytes.hh"
 #include "common/crc32.hh"
 #include "common/logging.hh"
 #include "server/kernel_store.hh"
@@ -389,7 +390,7 @@ Coordinator::routeKeyForFrame(const Frame &frame)
       case MsgType::StaticAdviceRequest: {
         // All four start their payload with AppQuery, whose first
         // field is the abbreviation string.
-        server::WireReader reader(frame.payload);
+        ByteReader reader(frame.payload);
         std::string abbr;
         if (reader.getString(abbr, 64) && !abbr.empty())
             return abbr;
@@ -399,7 +400,7 @@ Coordinator::routeKeyForFrame(const Frame &frame)
         // Route by the kernel's content digest so the later
         // EvalSubmitted for the same kernel shards to the worker
         // whose store holds it.
-        server::WireReader reader(frame.payload);
+        ByteReader reader(frame.payload);
         std::string bytecode;
         if (reader.getString(bytecode, server::kMaxPayload)
             && !bytecode.empty())
@@ -409,7 +410,7 @@ Coordinator::routeKeyForFrame(const Frame &frame)
       case MsgType::EvalSubmittedRequest: {
         // Payload starts with the digest string: same key as the
         // submit that stored the kernel.
-        server::WireReader reader(frame.payload);
+        ByteReader reader(frame.payload);
         std::string digest;
         if (reader.getString(digest, server::kMaxDigestBytes)
             && !digest.empty())

@@ -8,50 +8,18 @@
 #include "coder/vs_coder.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
 #include "common/logging.hh"
+#include "isa/semantics.hh"
 
 namespace bvf::gpu
 {
 
 using isa::Instruction;
 using isa::Opcode;
-using isa::CmpOp;
 using isa::SpecialReg;
 using coder::UnitId;
 using sram::AccessType;
-
-namespace
-{
-
-/** Reinterpret a word as fp32. */
-float
-asFloat(Word w)
-{
-    float f;
-    std::memcpy(&f, &w, sizeof(f));
-    return f;
-}
-
-/** Reinterpret fp32 as a word. */
-Word
-asWord(float f)
-{
-    Word w;
-    std::memcpy(&w, &f, sizeof(w));
-    return w;
-}
-
-/** Signed view of a word. */
-std::int32_t
-asInt(Word w)
-{
-    return static_cast<std::int32_t>(w);
-}
-
-} // namespace
 
 Sm::Sm(int smId, const GpuConfig &config, const isa::Program &program,
        sram::AccessSink &sink, ChipInterface &chip)
@@ -425,88 +393,21 @@ Sm::executeAlu(int slot, const Instruction &instr, std::uint32_t guard,
     for (int lane = 0; lane < warpSize; ++lane) {
         if (!((guard >> lane) & 1u))
             continue;
+        if (instr.op == Opcode::S2R) {
+            warp.setReg(lane, instr.dst,
+                        specialValue(slot, lane,
+                                     static_cast<SpecialReg>(instr.flags)));
+            continue;
+        }
         const Word a = warp.reg(lane, instr.srcA);
         const Word b = instr.immB ? static_cast<Word>(instr.imm)
                                   : warp.reg(lane, instr.srcB);
-        Word result = 0;
-        switch (instr.op) {
-          case Opcode::Ffma:
-            result = asWord(asFloat(a) * asFloat(b)
-                            + asFloat(warp.reg(lane, instr.dst)));
-            break;
-          case Opcode::Fadd:
-            result = asWord(asFloat(a) + asFloat(b));
-            break;
-          case Opcode::Fmul:
-            result = asWord(asFloat(a) * asFloat(b));
-            break;
-          case Opcode::IAdd:
-            result = a + b;
-            break;
-          case Opcode::ISub:
-            result = a - b;
-            break;
-          case Opcode::IMul:
-            result = a * b;
-            break;
-          case Opcode::IMad:
-            result = a * b + warp.reg(lane, instr.dst);
-            break;
-          case Opcode::Mov:
-            result = b;
-            break;
-          case Opcode::S2R:
-            result = specialValue(slot, lane,
-                                  static_cast<SpecialReg>(instr.flags));
-            break;
-          case Opcode::Shl:
-            result = a << (b & 31u);
-            break;
-          case Opcode::Shr:
-            result = a >> (b & 31u);
-            break;
-          case Opcode::And:
-            result = a & b;
-            break;
-          case Opcode::Or:
-            result = a | b;
-            break;
-          case Opcode::Xor:
-            result = a ^ b;
-            break;
-          case Opcode::I2F:
-            result = asWord(static_cast<float>(asInt(a)));
-            break;
-          case Opcode::F2I:
-            result = static_cast<Word>(
-                static_cast<std::int32_t>(asFloat(a)));
-            break;
-          case Opcode::Clz:
-            result = static_cast<Word>(std::countl_zero(a));
-            break;
-          case Opcode::Min:
-            result = static_cast<Word>(std::min(asInt(a), asInt(b)));
-            break;
-          case Opcode::Max:
-            result = static_cast<Word>(std::max(asInt(a), asInt(b)));
-            break;
-          case Opcode::SetP: {
-            const std::int32_t sa = asInt(a);
-            const std::int32_t sb = asInt(b);
-            bool p = false;
-            switch (static_cast<CmpOp>(instr.flags)) {
-              case CmpOp::Lt: p = sa < sb; break;
-              case CmpOp::Le: p = sa <= sb; break;
-              case CmpOp::Gt: p = sa > sb; break;
-              case CmpOp::Ge: p = sa >= sb; break;
-              case CmpOp::Eq: p = sa == sb; break;
-              case CmpOp::Ne: p = sa != sb; break;
-            }
-            warp.setPredicate(lane, instr.dst, p);
+        const Word result = isa::evalLane(instr.op, a, b,
+                                          warp.reg(lane, instr.dst),
+                                          instr.flags);
+        if (instr.op == Opcode::SetP) {
+            warp.setPredicate(lane, instr.dst, result != 0);
             continue;
-          }
-          default:
-            panic("unhandled opcode %s", opcodeName(instr.op).c_str());
         }
         warp.setReg(lane, instr.dst, result);
     }

@@ -5,9 +5,7 @@
 
 #include "isa/bytecode.hh"
 
-#include <cstring>
-
-#include "common/crc32.hh"
+#include "common/bytes.hh"
 #include "common/logging.hh"
 
 namespace bvf::isa
@@ -16,80 +14,10 @@ namespace bvf::isa
 namespace
 {
 
-constexpr char kMagic[4] = {'B', 'V', 'F', 'K'};
+constexpr std::string_view kMagic = "BVFK";
 
 /** Zero-runs shorter than this ride inside a literal chunk. */
 constexpr std::uint32_t kMinZeroRun = 8;
-
-// --- little-endian payload plumbing -----------------------------------
-
-void
-putU8(std::string &out, std::uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-putU16(std::string &out, std::uint16_t v)
-{
-    putU8(out, static_cast<std::uint8_t>(v));
-    putU8(out, static_cast<std::uint8_t>(v >> 8));
-}
-
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    putU16(out, static_cast<std::uint16_t>(v));
-    putU16(out, static_cast<std::uint16_t>(v >> 16));
-}
-
-/** Cursor over the payload; every get fails softly at the end. */
-class Reader
-{
-  public:
-    explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-    bool
-    getU8(std::uint8_t &v)
-    {
-        if (pos_ >= bytes_.size())
-            return false;
-        v = static_cast<std::uint8_t>(bytes_[pos_++]);
-        return true;
-    }
-
-    bool
-    getU32(std::uint32_t &v)
-    {
-        if (bytes_.size() - pos_ < 4)
-            return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(
-                     static_cast<std::uint8_t>(bytes_[pos_ + i]))
-                 << (8 * i);
-        }
-        pos_ += 4;
-        return true;
-    }
-
-    bool
-    getBytes(std::string &v, std::uint32_t n)
-    {
-        if (bytes_.size() - pos_ < n)
-            return false;
-        v.assign(bytes_.substr(pos_, n));
-        pos_ += n;
-        return true;
-    }
-
-    bool exhausted() const { return pos_ == bytes_.size(); }
-    std::size_t remaining() const { return bytes_.size() - pos_; }
-
-  private:
-    std::string_view bytes_;
-    std::size_t pos_ = 0;
-};
 
 // --- image chunking ----------------------------------------------------
 
@@ -99,16 +27,16 @@ class Reader
  * literal chunks are followed by their words, zero chunks by nothing.
  */
 void
-putImage(std::string &out, const std::vector<Word> &image)
+putImage(ByteWriter &out, const std::vector<Word> &image)
 {
-    putU32(out, static_cast<std::uint32_t>(image.size()));
+    out.putU32(static_cast<std::uint32_t>(image.size()));
     std::size_t i = 0;
     while (i < image.size()) {
         std::size_t z = i;
         while (z < image.size() && image[z] == 0)
             ++z;
         if (z - i >= kMinZeroRun) {
-            putU32(out, static_cast<std::uint32_t>((z - i) << 1));
+            out.putU32(static_cast<std::uint32_t>((z - i) << 1));
             i = z;
             continue;
         }
@@ -126,15 +54,14 @@ putImage(std::string &out, const std::vector<Word> &image)
             }
             ++end;
         }
-        putU32(out,
-               static_cast<std::uint32_t>(((end - i) << 1) | 1u));
+        out.putU32(static_cast<std::uint32_t>(((end - i) << 1) | 1u));
         for (; i < end; ++i)
-            putU32(out, image[i]);
+            out.putU32(image[i]);
     }
 }
 
 Result<void>
-getImage(Reader &in, std::vector<Word> &image, const char *space)
+getImage(ByteReader &in, std::vector<Word> &image, const char *space)
 {
     const auto corrupt = [&](const char *what) {
         return Error{ErrorCode::Corrupt,
@@ -158,7 +85,7 @@ getImage(Reader &in, std::vector<Word> &image, const char *space)
             // Literal words: the count must be backed by real bytes
             // before anything is read, so a short hostile payload
             // cannot claim its way into a large copy.
-            if (in.remaining() < static_cast<std::size_t>(count) * 4)
+            if (!in.count(count, 4))
                 return corrupt("literal chunk overruns the payload");
             for (std::uint32_t i = 0; i < count; ++i) {
                 std::uint32_t w = 0;
@@ -176,33 +103,31 @@ getImage(Reader &in, std::vector<Word> &image, const char *space)
 std::string
 encodePayload(const Program &program)
 {
-    std::string out;
-    putU32(out, static_cast<std::uint32_t>(program.name.size()));
-    out.append(program.name);
-    putU32(out, static_cast<std::uint32_t>(program.launch.gridBlocks));
-    putU32(out, static_cast<std::uint32_t>(program.launch.blockThreads));
-    putU32(out, program.sharedBytesPerBlock);
+    ByteWriter out;
+    out.putString(program.name);
+    out.putU32(static_cast<std::uint32_t>(program.launch.gridBlocks));
+    out.putU32(static_cast<std::uint32_t>(program.launch.blockThreads));
+    out.putU32(program.sharedBytesPerBlock);
 
-    putU32(out, static_cast<std::uint32_t>(program.body.size()));
+    out.putU32(static_cast<std::uint32_t>(program.body.size()));
     for (const Instruction &instr : program.body) {
-        putU8(out, static_cast<std::uint8_t>(instr.op));
-        putU8(out, instr.dst);
-        putU8(out, instr.srcA);
-        putU8(out, instr.srcB);
-        putU8(out, instr.pred);
-        putU8(out, static_cast<std::uint8_t>(
-                       (instr.predNegate ? 1u : 0u)
-                       | (instr.immB ? 2u : 0u)));
-        putU8(out, instr.flags);
-        putU8(out, 0); // reserved
-        putU32(out, static_cast<std::uint32_t>(instr.imm));
-        putU32(out, static_cast<std::uint32_t>(instr.reconv));
+        out.putU8(static_cast<std::uint8_t>(instr.op));
+        out.putU8(instr.dst);
+        out.putU8(instr.srcA);
+        out.putU8(instr.srcB);
+        out.putU8(instr.pred);
+        out.putU8(static_cast<std::uint8_t>((instr.predNegate ? 1u : 0u)
+                                            | (instr.immB ? 2u : 0u)));
+        out.putU8(instr.flags);
+        out.putU8(0); // reserved
+        out.putU32(static_cast<std::uint32_t>(instr.imm));
+        out.putU32(static_cast<std::uint32_t>(instr.reconv));
     }
 
     putImage(out, program.global);
     putImage(out, program.constants);
     putImage(out, program.texture);
-    return out;
+    return out.take();
 }
 
 Result<Program>
@@ -212,16 +137,18 @@ decodePayload(std::string_view payload)
         return Error{ErrorCode::Corrupt,
                      strFormat("bytecode: %s", what)};
     };
-    Reader in(payload);
+    ByteReader in(payload);
     Program prog;
 
     std::uint32_t nameLen = 0;
+    std::string_view name;
     if (!in.getU32(nameLen))
         return corrupt("name length missing");
     if (nameLen > kMaxKernelNameBytes)
         return corrupt("kernel name too long");
-    if (!in.getBytes(prog.name, nameLen))
+    if (!in.getBytes(name, nameLen))
         return corrupt("name bytes missing");
+    prog.name.assign(name);
 
     std::uint32_t gridBlocks = 0;
     std::uint32_t blockThreads = 0;
@@ -236,7 +163,7 @@ decodePayload(std::string_view payload)
     if (!in.getU32(bodyCount))
         return corrupt("instruction count missing");
     // 16 bytes per instruction: check before allocating.
-    if (in.remaining() / 16 < bodyCount)
+    if (!in.count(bodyCount, 16))
         return corrupt("instruction count overruns the payload");
     prog.body.reserve(bodyCount);
     for (std::uint32_t i = 0; i < bodyCount; ++i) {
@@ -287,20 +214,8 @@ decodePayload(std::string_view payload)
 std::string
 encodeProgram(const Program &program)
 {
-    const std::string payload = encodePayload(program);
-    std::string out;
-    out.reserve(kBytecodeHeaderBytes + payload.size());
-    out.append(kMagic, sizeof kMagic);
-    putU8(out, kBytecodeVersion);
-    putU8(out, 0);  // reserved
-    putU16(out, 0); // flags
-    putU32(out, static_cast<std::uint32_t>(payload.size()));
-    Crc32 crc;
-    crc.update(out.data(), out.size());
-    crc.update(payload.data(), payload.size());
-    putU32(out, crc.value());
-    out.append(payload);
-    return out;
+    return encodeCrcFrame(kMagic, kBytecodeVersion, 0,
+                          encodePayload(program));
 }
 
 Result<Program>
@@ -309,49 +224,34 @@ decodeProgram(std::string_view bytes)
     if (bytes.size() < kBytecodeHeaderBytes)
         return Error{ErrorCode::Truncated,
                      "bytecode: input shorter than the frame header"};
-    if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
+    const auto header = parseCrcFrameHeader(bytes, kMagic);
+    if (!header)
         return Error{ErrorCode::Corrupt, "bytecode: bad magic"};
-    const auto version = static_cast<std::uint8_t>(bytes[4]);
-    if (version != kBytecodeVersion) {
+    const FrameHeader &h = *header;
+    if (h.version != kBytecodeVersion) {
         return Error{ErrorCode::Unsupported,
                      strFormat("bytecode: version %u not supported "
                                "(want %u)",
-                               unsigned(version),
+                               unsigned(h.version),
                                unsigned(kBytecodeVersion))};
     }
-    if (bytes[5] != 0 || bytes[6] != 0 || bytes[7] != 0)
+    if (h.type != 0 || h.flags != 0)
         return Error{ErrorCode::Corrupt,
                      "bytecode: reserved header bits set"};
-    std::uint32_t length = 0;
-    std::uint32_t wireCrc = 0;
-    for (int i = 0; i < 4; ++i) {
-        length |= static_cast<std::uint32_t>(
-                      static_cast<std::uint8_t>(bytes[8 + i]))
-                  << (8 * i);
-        wireCrc |= static_cast<std::uint32_t>(
-                       static_cast<std::uint8_t>(bytes[12 + i]))
-                   << (8 * i);
-    }
     // An oversized length is damage, not a request to buffer gigabytes.
-    if (length > kMaxBytecodePayload)
+    if (h.length > kMaxBytecodePayload)
         return Error{ErrorCode::Corrupt,
                      "bytecode: length exceeds the payload cap"};
-    if (bytes.size() < kBytecodeHeaderBytes + length)
+    if (bytes.size() < kBytecodeHeaderBytes + h.length)
         return Error{ErrorCode::Truncated,
                      "bytecode: input shorter than its length field"};
-    if (bytes.size() > kBytecodeHeaderBytes + length)
+    if (bytes.size() > kBytecodeHeaderBytes + h.length)
         return Error{ErrorCode::Corrupt,
                      "bytecode: trailing bytes after the frame"};
-
-    const std::string_view payload =
-        bytes.substr(kBytecodeHeaderBytes, length);
-    Crc32 crc;
-    crc.update(bytes.data(), 12);
-    crc.update(payload.data(), payload.size());
-    if (crc.value() != wireCrc)
+    if (!crcFrameIntact(bytes, h))
         return Error{ErrorCode::Corrupt, "bytecode: CRC mismatch"};
 
-    auto decoded = decodePayload(payload);
+    auto decoded = decodePayload(bytes.substr(kBytecodeHeaderBytes));
     if (!decoded.ok())
         return decoded.error();
 

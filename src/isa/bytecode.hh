@@ -3,10 +3,11 @@
  * Binary kernel bytecode: the untrusted on-disk / on-wire form of a
  * complete isa::Program.
  *
- * Layout mirrors the bvfd wire discipline (server/protocol.hh): a
- * little-endian frame with a versioned header and a CRC-32 that covers
- * header and payload, so a torn or bit-flipped kernel file is detected
- * before anything interprets it:
+ * The frame is the 16-byte CRC frame of common/bytes.hh, the same one
+ * bvfd messages travel in (server/protocol.hh): a little-endian,
+ * versioned header and a CRC-32 that covers header and payload, so a
+ * torn or bit-flipped kernel file is detected before anything
+ * interprets it:
  *
  *   magic    "BVFK"                        4 bytes
  *   version  u8  (= kBytecodeVersion)      1 byte
@@ -44,6 +45,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/bytes.hh"
 #include "common/result.hh"
 #include "isa/program.hh"
 
@@ -54,7 +56,7 @@ namespace bvf::isa
 constexpr std::uint8_t kBytecodeVersion = 1;
 
 /** Frame header byte count (magic through crc). */
-constexpr std::size_t kBytecodeHeaderBytes = 16;
+constexpr std::size_t kBytecodeHeaderBytes = kFrameHeaderBytes;
 
 /**
  * Hard cap on one kernel's encoded payload (4 MiB). Large enough for

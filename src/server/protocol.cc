@@ -5,11 +5,7 @@
 
 #include "server/protocol.hh"
 
-#include <bit>
-#include <cstring>
-
 #include "analysis/verifier.hh"
-#include "common/crc32.hh"
 
 namespace bvf::server
 {
@@ -17,13 +13,19 @@ namespace bvf::server
 namespace
 {
 
-constexpr char kMagic[4] = {'B', 'V', 'F', 'P'};
+constexpr std::string_view kMagic = "BVFP";
 
 /** Cap on one request's word vector (fits kMaxPayload with headroom). */
 constexpr std::uint32_t kMaxWords = kMaxPayload / 8 - 16;
 
 /** Cap on strings travelling in requests (app abbreviations, errors). */
 constexpr std::uint32_t kMaxString = 4096;
+
+/**
+ * Cap on a blob (kernel bytecode): the frame payload, less 64 bytes of
+ * headroom for the rest of the message around it.
+ */
+constexpr std::uint32_t kMaxBlob = kMaxPayload - 64;
 
 Error
 corrupt(const std::string &what)
@@ -121,26 +123,8 @@ encodeFrame(MsgType type, std::string_view payload)
     panic_if(payload.size() > kMaxPayload,
              "frame payload of %zu bytes exceeds the %u-byte cap",
              payload.size(), kMaxPayload);
-    WireWriter w;
-    // The header is itself little-endian wire fields; reuse the writer.
-    std::string out;
-    out.append(kMagic, sizeof(kMagic));
-    w.putU8(kProtocolVersion);
-    w.putU8(static_cast<std::uint8_t>(type));
-    w.putU16(0); // flags
-    w.putU32(static_cast<std::uint32_t>(payload.size()));
-    out += w.str();
-    // The CRC covers the header fields before it as well as the
-    // payload: a type byte flipped into another *valid* type would
-    // otherwise parse clean.
-    Crc32 crc;
-    crc.update(out.data(), out.size());
-    crc.update(payload.data(), payload.size());
-    WireWriter c;
-    c.putU32(crc.value());
-    out += c.str();
-    out.append(payload);
-    return out;
+    return encodeCrcFrame(kMagic, kProtocolVersion,
+                          static_cast<std::uint8_t>(type), payload);
 }
 
 Result<Frame>
@@ -148,31 +132,21 @@ parseFrame(std::string_view bytes, std::size_t &consumed)
 {
     if (bytes.size() < kHeaderBytes)
         return Error{ErrorCode::Truncated, "incomplete frame header"};
-    if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
+    const auto header = parseCrcFrameHeader(bytes, kMagic);
+    if (!header)
         return corrupt("bad frame magic");
+    const FrameHeader &h = *header;
 
-    WireReader r(bytes.substr(sizeof(kMagic),
-                              kHeaderBytes - sizeof(kMagic)));
-    std::uint8_t version = 0, rawType = 0;
-    std::uint16_t flags = 0;
-    std::uint32_t length = 0, crc = 0;
-    r.getU8(version);
-    r.getU8(rawType);
-    r.getU16(flags);
-    r.getU32(length);
-    r.getU32(crc);
-
-    if (version != kProtocolVersion) {
+    if (h.version != kProtocolVersion) {
         return Error{ErrorCode::Unsupported,
                      strFormat("protocol version %u, this build speaks %u",
-                               version, kProtocolVersion)};
+                               h.version, kProtocolVersion)};
     }
-    if (flags != 0)
+    if (h.flags != 0)
         return corrupt("reserved frame flags set");
-    if (!msgTypeKnown(rawType)) {
-        return corrupt(strFormat("unknown message type 0x%02x", rawType));
-    }
-    if (length > kMaxPayload) {
+    if (!msgTypeKnown(h.type))
+        return corrupt(strFormat("unknown message type 0x%02x", h.type));
+    if (h.length > kMaxPayload) {
         // Corrupt, not InvalidArgument: no conforming peer ever sends a
         // length above the cap, so an oversized field means the stream
         // itself is damaged.  The distinction matters to the fleet
@@ -181,145 +155,18 @@ parseFrame(std::string_view bytes, std::size_t &consumed)
         // bit flip in this field must not convict the job it hit.
         return corrupt(strFormat("frame payload of %u bytes exceeds the "
                                  "%u-byte cap",
-                                 length, kMaxPayload));
+                                 h.length, kMaxPayload));
     }
-    if (bytes.size() < kHeaderBytes + length)
+    if (bytes.size() < kHeaderBytes + h.length)
         return Error{ErrorCode::Truncated, "incomplete frame payload"};
-
-    const std::string_view payload = bytes.substr(kHeaderBytes, length);
-    Crc32 check;
-    check.update(bytes.data(), kHeaderBytes - sizeof(crc));
-    check.update(payload.data(), payload.size());
-    if (check.value() != crc)
+    if (!crcFrameIntact(bytes, h))
         return corrupt("frame CRC mismatch");
 
     Frame frame;
-    frame.type = static_cast<MsgType>(rawType);
-    frame.payload.assign(payload);
-    consumed = kHeaderBytes + length;
+    frame.type = static_cast<MsgType>(h.type);
+    frame.payload.assign(bytes.substr(kHeaderBytes, h.length));
+    consumed = kHeaderBytes + h.length;
     return frame;
-}
-
-// --- Wire primitives --------------------------------------------------
-
-void
-WireWriter::putU8(std::uint8_t v)
-{
-    buf_.push_back(static_cast<char>(v));
-}
-
-void
-WireWriter::putU16(std::uint16_t v)
-{
-    putU8(static_cast<std::uint8_t>(v));
-    putU8(static_cast<std::uint8_t>(v >> 8));
-}
-
-void
-WireWriter::putU32(std::uint32_t v)
-{
-    putU16(static_cast<std::uint16_t>(v));
-    putU16(static_cast<std::uint16_t>(v >> 16));
-}
-
-void
-WireWriter::putU64(std::uint64_t v)
-{
-    putU32(static_cast<std::uint32_t>(v));
-    putU32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void
-WireWriter::putF64(double v)
-{
-    putU64(std::bit_cast<std::uint64_t>(v));
-}
-
-void
-WireWriter::putString(std::string_view s)
-{
-    panic_if(s.size() > kMaxString,
-             "wire string of %zu bytes exceeds the %u-byte cap",
-             s.size(), kMaxString);
-    putU32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s);
-}
-
-void
-WireWriter::putBlob(std::string_view s)
-{
-    // Blobs (kernel bytecode) are capped by the frame payload, not the
-    // short-string cap; 64 bytes of headroom cover the rest of the
-    // message around the blob.
-    panic_if(s.size() > kMaxPayload - 64,
-             "wire blob of %zu bytes exceeds the frame payload cap",
-             s.size());
-    putU32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s);
-}
-
-bool
-WireReader::getU8(std::uint8_t &v)
-{
-    if (pos_ + 1 > bytes_.size())
-        return false;
-    v = static_cast<std::uint8_t>(bytes_[pos_++]);
-    return true;
-}
-
-bool
-WireReader::getU16(std::uint16_t &v)
-{
-    std::uint8_t lo = 0, hi = 0;
-    if (!getU8(lo) || !getU8(hi))
-        return false;
-    v = static_cast<std::uint16_t>(lo | (hi << 8));
-    return true;
-}
-
-bool
-WireReader::getU32(std::uint32_t &v)
-{
-    std::uint16_t lo = 0, hi = 0;
-    if (!getU16(lo) || !getU16(hi))
-        return false;
-    v = static_cast<std::uint32_t>(lo)
-        | (static_cast<std::uint32_t>(hi) << 16);
-    return true;
-}
-
-bool
-WireReader::getU64(std::uint64_t &v)
-{
-    std::uint32_t lo = 0, hi = 0;
-    if (!getU32(lo) || !getU32(hi))
-        return false;
-    v = static_cast<std::uint64_t>(lo)
-        | (static_cast<std::uint64_t>(hi) << 32);
-    return true;
-}
-
-bool
-WireReader::getF64(double &v)
-{
-    std::uint64_t bits = 0;
-    if (!getU64(bits))
-        return false;
-    v = std::bit_cast<double>(bits);
-    return true;
-}
-
-bool
-WireReader::getString(std::string &v, std::uint32_t maxLen)
-{
-    std::uint32_t len = 0;
-    if (!getU32(len) || len > maxLen
-        || pos_ + len > bytes_.size()) {
-        return false;
-    }
-    v.assign(bytes_.substr(pos_, len));
-    pos_ += len;
-    return true;
 }
 
 // --- Messages ---------------------------------------------------------
@@ -328,9 +175,9 @@ namespace
 {
 
 void
-putAppQuery(WireWriter &w, const AppQuery &q)
+putAppQuery(ByteWriter &w, const AppQuery &q)
 {
-    w.putString(q.abbr);
+    w.putString(q.abbr, kMaxString);
     w.putU8(q.arch);
     w.putU8(q.sched);
     w.putU32(q.vsPivot);
@@ -338,7 +185,7 @@ putAppQuery(WireWriter &w, const AppQuery &q)
 }
 
 bool
-getAppQuery(WireReader &r, AppQuery &q)
+getAppQuery(ByteReader &r, AppQuery &q)
 {
     return r.getString(q.abbr, 64) && r.getU8(q.arch)
            && r.getU8(q.sched) && r.getU32(q.vsPivot)
@@ -375,7 +222,7 @@ validateAppQuery(const AppQuery &q)
 std::string
 Ping::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     w.putU64(nonce);
     return w.take();
 }
@@ -383,7 +230,7 @@ Ping::encode() const
 Result<Ping>
 Ping::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     Ping p;
     if (!r.getU64(p.nonce))
         return truncatedPayload();
@@ -395,7 +242,7 @@ Ping::decode(std::string_view payload)
 std::string
 EvalCoderRequest::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     w.putU8(static_cast<std::uint8_t>(coder));
     w.putU8(arch);
     w.putU32(vsPivot);
@@ -409,7 +256,7 @@ EvalCoderRequest::encode() const
 Result<EvalCoderRequest>
 EvalCoderRequest::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     EvalCoderRequest req;
     std::uint8_t rawCoder = 0;
     std::uint32_t count = 0;
@@ -437,7 +284,7 @@ EvalCoderRequest::decode(std::string_view payload)
                      strFormat("%u words exceed the per-request cap of %u",
                                count, kMaxWords)};
     }
-    if (std::uint64_t{count} * 8 > r.remaining())
+    if (!r.count(count, 8))
         return truncatedPayload(); // count outruns the payload: no alloc
     req.coder = static_cast<CoderKind>(rawCoder);
     req.words.resize(count);
@@ -453,7 +300,7 @@ EvalCoderRequest::decode(std::string_view payload)
 std::string
 EvalCoderResponse::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     w.putU64(totalBits);
     w.putU64(onesBefore);
     w.putU64(onesAfter);
@@ -466,7 +313,7 @@ EvalCoderResponse::encode() const
 Result<EvalCoderResponse>
 EvalCoderResponse::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     EvalCoderResponse resp;
     std::uint32_t count = 0;
     if (!r.getU64(resp.totalBits) || !r.getU64(resp.onesBefore)
@@ -475,7 +322,7 @@ EvalCoderResponse::decode(std::string_view payload)
     }
     if (count > kMaxWords)
         return corrupt("encoded word count exceeds cap");
-    if (std::uint64_t{count} * 8 > r.remaining())
+    if (!r.count(count, 8))
         return truncatedPayload(); // count outruns the payload: no alloc
     resp.encoded.resize(count);
     for (std::uint64_t &word : resp.encoded) {
@@ -490,7 +337,7 @@ EvalCoderResponse::decode(std::string_view payload)
 std::string
 BitDensityRequest::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     putAppQuery(w, query);
     return w.take();
 }
@@ -498,7 +345,7 @@ BitDensityRequest::encode() const
 Result<BitDensityRequest>
 BitDensityRequest::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     BitDensityRequest req;
     if (!getAppQuery(r, req.query))
         return truncatedPayload();
@@ -512,7 +359,7 @@ BitDensityRequest::decode(std::string_view payload)
 std::string
 BitDensityResponse::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     w.putU64(cycles);
     w.putU64(instructions);
     w.putU32(static_cast<std::uint32_t>(units.size()));
@@ -529,7 +376,7 @@ BitDensityResponse::encode() const
 Result<BitDensityResponse>
 BitDensityResponse::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     BitDensityResponse resp;
     std::uint32_t count = 0;
     if (!r.getU64(resp.cycles) || !r.getU64(resp.instructions)
@@ -559,7 +406,7 @@ BitDensityResponse::decode(std::string_view payload)
 std::string
 ChipEnergyRequest::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     putAppQuery(w, query);
     w.putU8(node);
     w.putU8(pstate);
@@ -572,7 +419,7 @@ ChipEnergyRequest::encode() const
 Result<ChipEnergyRequest>
 ChipEnergyRequest::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     ChipEnergyRequest req;
     if (!getAppQuery(r, req.query) || !r.getU8(req.node)
         || !r.getU8(req.pstate) || !r.getU8(req.cell)
@@ -607,7 +454,7 @@ ChipEnergyRequest::decode(std::string_view payload)
 std::string
 ChipEnergyResponse::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     w.putU64(cycles);
     w.putU64(instructions);
     for (const double e : chipEnergy)
@@ -620,7 +467,7 @@ ChipEnergyResponse::encode() const
 Result<ChipEnergyResponse>
 ChipEnergyResponse::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     ChipEnergyResponse resp;
     if (!r.getU64(resp.cycles) || !r.getU64(resp.instructions))
         return truncatedPayload();
@@ -640,7 +487,7 @@ ChipEnergyResponse::decode(std::string_view payload)
 std::string
 StaticQueryRequest::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     putAppQuery(w, query);
     return w.take();
 }
@@ -648,7 +495,7 @@ StaticQueryRequest::encode() const
 Result<StaticQueryRequest>
 StaticQueryRequest::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     StaticQueryRequest req;
     if (!getAppQuery(r, req.query))
         return truncatedPayload();
@@ -663,7 +510,7 @@ namespace
 {
 
 void
-putBound(WireWriter &w, const StaticQueryResponse::Bound &b)
+putBound(ByteWriter &w, const StaticQueryResponse::Bound &b)
 {
     w.putF64(b.lo);
     w.putF64(b.hi);
@@ -671,7 +518,7 @@ putBound(WireWriter &w, const StaticQueryResponse::Bound &b)
 }
 
 bool
-getBound(WireReader &r, StaticQueryResponse::Bound &b)
+getBound(ByteReader &r, StaticQueryResponse::Bound &b)
 {
     return r.getF64(b.lo) && r.getF64(b.hi) && r.getU8(b.any);
 }
@@ -681,7 +528,7 @@ getBound(WireReader &r, StaticQueryResponse::Bound &b)
 std::string
 StaticQueryResponse::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     w.putU8(bestStatic);
     w.putU32(static_cast<std::uint32_t>(units.size()));
     for (const Unit &u : units) {
@@ -697,7 +544,7 @@ StaticQueryResponse::encode() const
 Result<StaticQueryResponse>
 StaticQueryResponse::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     StaticQueryResponse resp;
     std::uint32_t count = 0;
     if (!r.getU8(resp.bestStatic) || !r.getU32(count))
@@ -725,7 +572,7 @@ StaticQueryResponse::decode(std::string_view payload)
 std::string
 StaticAdviceRequest::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     putAppQuery(w, query);
     return w.take();
 }
@@ -733,7 +580,7 @@ StaticAdviceRequest::encode() const
 Result<StaticAdviceRequest>
 StaticAdviceRequest::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     StaticAdviceRequest req;
     if (!getAppQuery(r, req.query))
         return truncatedPayload();
@@ -747,7 +594,7 @@ StaticAdviceRequest::decode(std::string_view payload)
 std::string
 StaticAdviceResponse::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     w.putU8(bestPivot);
     w.putF64(provenSlack);
     w.putU32(affineSources);
@@ -775,7 +622,7 @@ StaticAdviceResponse::encode() const
 Result<StaticAdviceResponse>
 StaticAdviceResponse::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     StaticAdviceResponse resp;
     if (!r.getU8(resp.bestPivot) || !r.getF64(resp.provenSlack)
         || !r.getU32(resp.affineSources) || !r.getU32(resp.totalSources))
@@ -814,8 +661,8 @@ StaticAdviceResponse::decode(std::string_view payload)
 std::string
 SubmitKernelRequest::encode() const
 {
-    WireWriter w;
-    w.putBlob(bytecode);
+    ByteWriter w;
+    w.putString(bytecode, kMaxBlob);
     // Optional tail; omitted when clear so default-shaped requests are
     // byte-identical to the pre-optimizer wire format.
     if (optimize)
@@ -826,7 +673,7 @@ SubmitKernelRequest::encode() const
 Result<SubmitKernelRequest>
 SubmitKernelRequest::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     SubmitKernelRequest req;
     if (!r.getString(req.bytecode, kMaxPayload))
         return truncatedPayload();
@@ -846,9 +693,9 @@ SubmitKernelRequest::decode(std::string_view payload)
 std::string
 SubmitKernelResponse::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     w.putU8(admitted);
-    w.putString(digest);
+    w.putString(digest, kMaxString);
     w.putU64(tripBound);
     w.putU32(globalLo);
     w.putU32(globalHi);
@@ -856,12 +703,12 @@ SubmitKernelResponse::encode() const
     for (const WireRejection &rej : rejections) {
         w.putU8(rej.reason);
         w.putU32(rej.pc);
-        w.putString(rej.message);
+        w.putString(rej.message, kMaxString);
     }
     // Optional optimize-on-submit tail (mirrors the request flag).
     if (optimizeRequested) {
         w.putU8(optimized);
-        w.putString(optimizedDigest);
+        w.putString(optimizedDigest, kMaxString);
     }
     return w.take();
 }
@@ -869,7 +716,7 @@ SubmitKernelResponse::encode() const
 Result<SubmitKernelResponse>
 SubmitKernelResponse::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     SubmitKernelResponse resp;
     std::uint32_t count = 0;
     if (!r.getU8(resp.admitted)
@@ -884,7 +731,7 @@ SubmitKernelResponse::decode(std::string_view payload)
         return corrupt("rejection count exceeds cap");
     // Every rejection record needs at least its fixed 9-byte prefix;
     // a count that outruns the payload must not drive the alloc.
-    if (std::uint64_t{count} * 9 > r.remaining())
+    if (!r.count(count, 9))
         return truncatedPayload();
     resp.rejections.resize(count);
     for (WireRejection &rej : resp.rejections) {
@@ -922,8 +769,8 @@ SubmitKernelResponse::decode(std::string_view payload)
 std::string
 EvalSubmittedRequest::encode() const
 {
-    WireWriter w;
-    w.putString(digest);
+    ByteWriter w;
+    w.putString(digest, kMaxString);
     w.putU8(arch);
     w.putU8(sched);
     w.putU32(vsPivot);
@@ -939,7 +786,7 @@ EvalSubmittedRequest::encode() const
 Result<EvalSubmittedRequest>
 EvalSubmittedRequest::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     EvalSubmittedRequest req;
     if (!r.getString(req.digest, kMaxDigestBytes) || !r.getU8(req.arch)
         || !r.getU8(req.sched) || !r.getU32(req.vsPivot)
@@ -998,7 +845,7 @@ EvalSubmittedRequest::decode(std::string_view payload)
 std::string
 EvalSubmittedResponse::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     w.putU64(cycles);
     w.putU64(instructions);
     w.putU64(maxWarpIssue);
@@ -1013,7 +860,7 @@ EvalSubmittedResponse::encode() const
 Result<EvalSubmittedResponse>
 EvalSubmittedResponse::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     EvalSubmittedResponse resp;
     if (!r.getU64(resp.cycles) || !r.getU64(resp.instructions)
         || !r.getU64(resp.maxWarpIssue)
@@ -1036,18 +883,18 @@ EvalSubmittedResponse::decode(std::string_view payload)
 std::string
 WireError::encode() const
 {
-    WireWriter w;
+    ByteWriter w;
     w.putU8(code);
-    w.putString(message);
+    w.putString(message, kMaxString);
     return w.take();
 }
 
 Result<WireError>
 WireError::decode(std::string_view payload)
 {
-    WireReader r(payload);
+    ByteReader r(payload);
     WireError e;
-    if (!r.getU8(e.code) || !r.getString(e.message, 4096))
+    if (!r.getU8(e.code) || !r.getString(e.message, kMaxString))
         return truncatedPayload();
     if (!r.exhausted())
         return trailingGarbage();

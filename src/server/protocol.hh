@@ -3,7 +3,8 @@
  * bvfd wire protocol: CRC32-framed, length-prefixed binary messages.
  *
  * A connection carries a stream of frames in either direction. Every
- * frame is:
+ * frame is the 16-byte CRC frame of common/bytes.hh (shared with BVFK
+ * bytecode) under magic "BVFP":
  *
  *   magic   "BVFP"                       4 bytes
  *   version u8   (= kProtocolVersion)    1 byte
@@ -14,7 +15,8 @@
  *                bytes above + payload   4 bytes
  *   payload length bytes
  *
- * All integers little-endian; doubles are IEEE-754 bit patterns in a
+ * Payloads are written with ByteWriter and read with ByteReader: all
+ * integers little-endian; doubles are IEEE-754 bit patterns in a
  * u64, so energies survive the wire bit-identically. The CRC makes a
  * torn or corrupted stream detectable before any request is executed;
  * a length above kMaxPayload is rejected without buffering (a 4 GB
@@ -37,6 +39,7 @@
 #include <vector>
 
 #include "coder/scenario.hh"
+#include "common/bytes.hh"
 #include "common/result.hh"
 
 namespace bvf::server
@@ -45,7 +48,7 @@ namespace bvf::server
 constexpr std::uint8_t kProtocolVersion = 1;
 
 /** Frame header byte count (magic through crc). */
-constexpr std::size_t kHeaderBytes = 16;
+constexpr std::size_t kHeaderBytes = kFrameHeaderBytes;
 
 /** Hard cap on one frame's payload (1 MiB). */
 constexpr std::uint32_t kMaxPayload = 1u << 20;
@@ -96,58 +99,6 @@ std::string encodeFrame(MsgType type, std::string_view payload);
  * oversized length, unknown version) and the connection should die.
  */
 Result<Frame> parseFrame(std::string_view bytes, std::size_t &consumed);
-
-// --- Payload serialization helpers -----------------------------------
-
-/** Append-only little-endian payload builder. */
-class WireWriter
-{
-  public:
-    void putU8(std::uint8_t v);
-    void putU16(std::uint16_t v);
-    void putU32(std::uint32_t v);
-    void putU64(std::uint64_t v);
-    void putF64(double v); //!< IEEE-754 bits in a u64
-    void putString(std::string_view s); //!< u32 length + bytes
-
-    /** u32 length + bytes, capped by the frame payload rather than the
-     *  short-string limit (kernel bytecode rides here). */
-    void putBlob(std::string_view s);
-
-    const std::string &str() const { return buf_; }
-    std::string take() { return std::move(buf_); }
-
-  private:
-    std::string buf_;
-};
-
-/** Cursor over a payload; every get fails softly at the end. */
-class WireReader
-{
-  public:
-    explicit WireReader(std::string_view bytes) : bytes_(bytes) {}
-
-    bool getU8(std::uint8_t &v);
-    bool getU16(std::uint16_t &v);
-    bool getU32(std::uint32_t &v);
-    bool getU64(std::uint64_t &v);
-    bool getF64(double &v);
-    bool getString(std::string &v, std::uint32_t maxLen);
-
-    /** Every byte consumed? (trailing garbage is a decode error) */
-    bool exhausted() const { return pos_ == bytes_.size(); }
-
-    /**
-     * Bytes not yet consumed. Decoders check claimed element counts
-     * against this *before* allocating, so a short hostile payload
-     * cannot drive a large allocation off its count field.
-     */
-    std::size_t remaining() const { return bytes_.size() - pos_; }
-
-  private:
-    std::string_view bytes_;
-    std::size_t pos_ = 0;
-};
 
 // --- Messages ---------------------------------------------------------
 

@@ -18,6 +18,7 @@
 #include "coder/nv_coder.hh"
 #include "coder/vs_coder.hh"
 #include "common/atomic_file.hh"
+#include "common/bytes.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/trace.hh"
@@ -518,19 +519,20 @@ checkRtl(const std::string &text)
     return {};
 }
 
-/** Little-endian word reader over the fuzz input, zero-padded. */
+/** Little-endian word at @p at of the fuzz input, zero-padded. */
 template <typename T>
 T
 rtlVecWord(const std::string &bytes, std::size_t at)
 {
+    std::string word =
+        at < bytes.size() ? bytes.substr(at, sizeof(T)) : std::string();
+    word.resize(sizeof(T), '\0');
+    ByteReader in(word);
     T w = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-        if (at + i < bytes.size()) {
-            w |= static_cast<T>(
-                     static_cast<unsigned char>(bytes[at + i]))
-                 << (8 * i);
-        }
-    }
+    if constexpr (sizeof(T) == sizeof(Word64))
+        in.getU64(w);
+    else
+        in.getU32(w);
     return w;
 }
 

@@ -24,6 +24,7 @@
 #include "common/rng.hh"
 #include "gpu/gpu.hh"
 #include "gpu/sm.hh"
+#include "isa/semantics.hh"
 #include "sram/access_sink.hh"
 
 using namespace bvf;
@@ -136,15 +137,15 @@ TEST(SignedIntervalTest, TransfersContainConcreteResults)
         const auto b = randomInterval(rng);
         const Word va = sample(rng, a);
         const Word vb = sample(rng, b);
-        EXPECT_TRUE(siAdd(a, b).contains(va + vb));
-        EXPECT_TRUE(siSub(a, b).contains(va - vb));
-        EXPECT_TRUE(siMul(a, b).contains(va * vb));
-        const auto sa = static_cast<std::int32_t>(va);
-        const auto sb = static_cast<std::int32_t>(vb);
-        EXPECT_TRUE(siMinSigned(a, b).contains(
-            static_cast<Word>(std::min(sa, sb))));
-        EXPECT_TRUE(siMaxSigned(a, b).contains(
-            static_cast<Word>(std::max(sa, sb))));
+        // The concrete side is the lane semantics the SM executes.
+        const auto conc = [&](isa::Opcode op) {
+            return isa::evalLane(op, va, vb, 0, 0);
+        };
+        EXPECT_TRUE(siAdd(a, b).contains(conc(isa::Opcode::IAdd)));
+        EXPECT_TRUE(siSub(a, b).contains(conc(isa::Opcode::ISub)));
+        EXPECT_TRUE(siMul(a, b).contains(conc(isa::Opcode::IMul)));
+        EXPECT_TRUE(siMinSigned(a, b).contains(conc(isa::Opcode::Min)));
+        EXPECT_TRUE(siMaxSigned(a, b).contains(conc(isa::Opcode::Max)));
     }
 }
 
@@ -156,18 +157,15 @@ TEST(SignedIntervalTest, CompareNeverLies)
     for (int i = 0; i < 5000; ++i) {
         const auto a = randomInterval(rng);
         const auto b = randomInterval(rng);
-        const auto sa = static_cast<std::int32_t>(sample(rng, a));
-        const auto sb = static_cast<std::int32_t>(sample(rng, b));
+        const Word va = sample(rng, a);
+        const Word vb = sample(rng, b);
+        const auto sa = static_cast<std::int32_t>(va);
+        const auto sb = static_cast<std::int32_t>(vb);
         for (const CmpOp cmp : ops) {
-            bool truth = false;
-            switch (cmp) {
-              case CmpOp::Lt: truth = sa < sb; break;
-              case CmpOp::Le: truth = sa <= sb; break;
-              case CmpOp::Gt: truth = sa > sb; break;
-              case CmpOp::Ge: truth = sa >= sb; break;
-              case CmpOp::Eq: truth = sa == sb; break;
-              case CmpOp::Ne: truth = sa != sb; break;
-            }
+            const bool truth =
+                isa::evalLane(isa::Opcode::SetP, va, vb, 0,
+                              static_cast<std::uint8_t>(cmp))
+                != 0;
             const analysis::Bool3 abstract = siCompare(cmp, a, b);
             if (abstract != analysis::Bool3::Unknown) {
                 EXPECT_EQ(abstract == analysis::Bool3::True, truth)

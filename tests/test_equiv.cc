@@ -16,6 +16,7 @@
 
 #include "analysis/equiv.hh"
 #include "analysis/optimizer.hh"
+#include "gpu/gpu.hh"
 #include "isa/asm.hh"
 #include "isa/bytecode.hh"
 #include "workload/kernel_builder.hh"
@@ -169,4 +170,53 @@ TEST(Equiv, ReferenceInterpreterSeesBehavioralDifferences)
     ASSERT_TRUE(a.finished);
     ASSERT_TRUE(b.finished);
     EXPECT_FALSE(a == b);
+}
+
+/**
+ * Regression: on x86 an fp32 op on two NaNs returns whichever NaN the
+ * compiler put in the first operand register, and the SM and the
+ * reference interpreter compiled FADD/FMUL/FFMA with opposite operand
+ * orders -- so the validator's oracle disagreed with the simulator on
+ * NaN payloads. Both now run isa::evalLane, whose NaN choice is
+ * pinned: B's NaN, else A's; FFMA's add prefers the product; quieted.
+ */
+TEST(Equiv, ReferenceMatchesTheSmOnNaNOperands)
+{
+    const isa::Program p = mustParse(".kernel nan-operands\n"
+                                     ".launch 1 32\n"
+                                     ".global 16\n"
+                                     "    MOV R1, #-32767\n" // NaN a
+                                     "    MOV R2, #-32766\n" // NaN b
+                                     "    MOV R3, #32640\n"
+                                     "    SHL R3, R3, #16\n"
+                                     "    IADD R3, R3, #1\n" // SNaN
+                                     "    FMUL R4, R1, R2\n"
+                                     "    FADD R5, R1, R3\n"
+                                     "    MOV R6, #-32765\n" // NaN c
+                                     "    FFMA R6, R1, R2\n"
+                                     "    MOV R7, #-32765\n"
+                                     "    MOV R8, #0\n"
+                                     "    FFMA R7, R8, R8\n"
+                                     "    MOV R9, #1\n"
+                                     "    SHL R9, R9, #16\n"
+                                     "    STG [R9 + 0], R4\n"
+                                     "    STG [R9 + 4], R5\n"
+                                     "    STG [R9 + 8], R6\n"
+                                     "    STG [R9 + 12], R7\n"
+                                     "    EXIT\n");
+    const auto ref = analysis::runReference(p, 1u << 16);
+    ASSERT_TRUE(ref.finished);
+
+    gpu::GpuConfig config = gpu::baselineConfig();
+    config.numSms = 1;
+    sram::NullSink sink;
+    gpu::Gpu gpu(config, p, sink);
+    gpu.run();
+    const std::vector<Word> &sm = gpu.program().global;
+    ASSERT_GE(sm.size(), 4u);
+    EXPECT_EQ(sm[0], 0xffff8002u); // FMUL: B's NaN
+    EXPECT_EQ(sm[1], 0x7fc00001u); // FADD: B's signaling NaN, quieted
+    EXPECT_EQ(sm[2], 0xffff8002u); // FFMA: the product's NaN
+    EXPECT_EQ(sm[3], 0xffff8003u); // FFMA: 0 * 0 + NaN c
+    EXPECT_EQ(ref.globalFinal, sm);
 }

@@ -13,6 +13,7 @@
 #include "analysis/known_bits.hh"
 #include "coder/nv_coder.hh"
 #include "common/rng.hh"
+#include "isa/semantics.hh"
 
 using namespace bvf;
 using namespace bvf::analysis;
@@ -277,33 +278,24 @@ TEST(KnownBitsTest, XnorRatioBounds)
 TEST(KnownBitsPropertyTest, BinaryTransferSoundness)
 {
     Rng rng(0xb1750001);
+    // The concrete side is the lane semantics the SM executes.
     struct Case
     {
         const char *name;
         KnownBits (*abs)(const KnownBits &, const KnownBits &);
-        Word (*conc)(Word, Word);
+        isa::Opcode op;
     };
     const Case cases[] = {
-        {"add", kbAdd, [](Word x, Word y) { return x + y; }},
-        {"sub", kbSub, [](Word x, Word y) { return x - y; }},
-        {"and", kbAnd, [](Word x, Word y) { return x & y; }},
-        {"or", kbOr, [](Word x, Word y) { return x | y; }},
-        {"xor", kbXor, [](Word x, Word y) { return x ^ y; }},
-        {"shl", kbShl, [](Word x, Word y) { return x << (y & 31); }},
-        {"shr", kbShr, [](Word x, Word y) { return x >> (y & 31); }},
-        {"mul", kbMul, [](Word x, Word y) { return x * y; }},
-        {"min", kbMinSigned,
-         [](Word x, Word y) {
-             return static_cast<Word>(
-                 std::min(static_cast<std::int32_t>(x),
-                          static_cast<std::int32_t>(y)));
-         }},
-        {"max", kbMaxSigned,
-         [](Word x, Word y) {
-             return static_cast<Word>(
-                 std::max(static_cast<std::int32_t>(x),
-                          static_cast<std::int32_t>(y)));
-         }},
+        {"add", kbAdd, isa::Opcode::IAdd},
+        {"sub", kbSub, isa::Opcode::ISub},
+        {"and", kbAnd, isa::Opcode::And},
+        {"or", kbOr, isa::Opcode::Or},
+        {"xor", kbXor, isa::Opcode::Xor},
+        {"shl", kbShl, isa::Opcode::Shl},
+        {"shr", kbShr, isa::Opcode::Shr},
+        {"mul", kbMul, isa::Opcode::IMul},
+        {"min", kbMinSigned, isa::Opcode::Min},
+        {"max", kbMaxSigned, isa::Opcode::Max},
     };
     for (const Case &c : cases) {
         for (int i = 0; i < propertyRounds; ++i) {
@@ -311,7 +303,7 @@ TEST(KnownBitsPropertyTest, BinaryTransferSoundness)
             const Word y = rng.nextU32();
             const auto a = abstractionAround(rng, x);
             const auto b = abstractionAround(rng, y);
-            const Word result = c.conc(x, y);
+            const Word result = isa::evalLane(c.op, x, y, 0, 0);
             const auto r = c.abs(a, b);
             ASSERT_TRUE(r.contains(result))
                 << c.name << "(" << x << ", " << y << ") = " << result
@@ -329,7 +321,7 @@ TEST(KnownBitsPropertyTest, UnaryTransferSoundness)
         const auto a = abstractionAround(rng, x);
         ASSERT_TRUE(kbNot(a).contains(~x));
         ASSERT_TRUE(kbClz(a).contains(
-            static_cast<Word>(leadingZeros(x))));
+            isa::evalLane(isa::Opcode::Clz, x, 0, 0, 0)));
     }
 }
 
@@ -347,23 +339,17 @@ TEST(KnownBitsPropertyTest, CompareSoundness)
                        - static_cast<Word>(rng.nextBounded(2)) * 256u;
         const auto a = abstractionAround(rng, x);
         const auto b = abstractionAround(rng, y);
-        const auto sx = static_cast<std::int32_t>(x);
-        const auto sy = static_cast<std::int32_t>(y);
         for (const auto op : ops) {
-            bool conc = false;
-            switch (op) {
-              case isa::CmpOp::Lt: conc = sx < sy; break;
-              case isa::CmpOp::Le: conc = sx <= sy; break;
-              case isa::CmpOp::Gt: conc = sx > sy; break;
-              case isa::CmpOp::Ge: conc = sx >= sy; break;
-              case isa::CmpOp::Eq: conc = sx == sy; break;
-              case isa::CmpOp::Ne: conc = sx != sy; break;
-            }
+            const bool conc =
+                isa::evalLane(isa::Opcode::SetP, x, y, 0,
+                              static_cast<std::uint8_t>(op))
+                != 0;
             const Bool3 abs = kbCompare(op, a, b);
             if (abs != Bool3::Unknown) {
                 ASSERT_EQ(abs, conc ? Bool3::True : Bool3::False)
-                    << "cmp " << static_cast<int>(op) << " of " << sx
-                    << ", " << sy;
+                    << "cmp " << static_cast<int>(op) << " of "
+                    << static_cast<std::int32_t>(x) << ", "
+                    << static_cast<std::int32_t>(y);
             }
         }
     }

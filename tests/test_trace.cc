@@ -7,7 +7,10 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -400,6 +403,102 @@ TEST(Trace, LegacyV1StreamStillReplayable)
     EXPECT_EQ(replayed.value().records, 1u);
     EXPECT_FALSE(replayed.value().sawFooter);
     EXPECT_EQ(counter.events, 1u);
+}
+
+// --- hostile counts must not size allocations --------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define BVF_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) \
+    || __has_feature(memory_sanitizer)
+#define BVF_SANITIZED 1
+#endif
+#endif
+
+/**
+ * Replay @p bytes strictly and in salvage mode inside a child whose
+ * address space is capped a little above what it already maps, so any
+ * allocation sized from a hostile count dies instead of succeeding.
+ * Exits 0 iff both replays end in a structured Corrupt/Truncated
+ * verdict. Sanitizer runtimes reserve huge shadow mappings, so the
+ * cap is skipped there; their allocator still aborts on a huge request.
+ */
+[[noreturn]] void
+replayUnderAddressCap(const std::string &bytes)
+{
+#ifndef BVF_SANITIZED
+    long pages = 0;
+    if (std::FILE *f = std::fopen("/proc/self/statm", "r")) {
+        if (std::fscanf(f, "%ld", &pages) != 1)
+            pages = 0;
+        std::fclose(f);
+    }
+    const rlim_t cap = static_cast<rlim_t>(pages) * 4096 + (256u << 20);
+    const rlimit limit{cap, cap};
+    if (pages == 0 || setrlimit(RLIMIT_AS, &limit) != 0)
+        std::_Exit(3);
+#endif
+    sram::NullSink sink;
+    std::istringstream strictIn(bytes);
+    const auto strict = replayTrace(strictIn, sink);
+    if (strict.ok()
+        || (strict.error().code != ErrorCode::Corrupt
+            && strict.error().code != ErrorCode::Truncated)) {
+        std::_Exit(1);
+    }
+    std::istringstream salvageIn(bytes);
+    const auto salvaged = replayTrace(salvageIn, sink, {true});
+    if (!salvaged.ok() || !salvaged.value().salvaged
+        || salvaged.value().records != 0) {
+        std::_Exit(2);
+    }
+    std::_Exit(0);
+}
+
+/**
+ * Regression: a v1 record header (24 bytes, no length field) claiming
+ * 0xfffffff0 fetch words used to size a 32 GiB staging buffer before
+ * a single payload byte was read. Same bytes as
+ * tests/corpus/trace/seed-01.bin.
+ */
+TEST(TraceDeathTest, LegacyHugeRecordCountIsAStructuredError)
+{
+    const std::string v1("BVFT\x01\0\0\0"
+                         "\x02\0\0\0\0\0\0\0"     // Fetch, mask 0
+                         "\0\0\0\0\0\0\0\0"       // cycle 0
+                         "\xf0\xff\xff\xff\0\0\0\0", // count, pad
+                         32);
+    EXPECT_EXIT(replayUnderAddressCap(v1), testing::ExitedWithCode(0),
+                "");
+}
+
+/**
+ * Regression: a CRC-valid v2 batch whose one access record claims
+ * 0xfffffff0 words used to resize the word buffer to 16 GiB before
+ * the bounds check. Same bytes as tests/corpus/trace/seed-02.bin.
+ */
+TEST(TraceDeathTest, BatchHugeRecordCountIsAStructuredError)
+{
+    const std::string v2("BVFT\x02\0\0\0"
+                         "BTCH\x18\0\0\0\x01\0\0\0\x3d\x9d\x19\x61"
+                         "\x01\0\0\0\0\0\0\0"     // Access, mask 0
+                         "\0\0\0\0\0\0\0\0"       // cycle 0
+                         "\xf0\xff\xff\xff\0\0\0\0", // count, pad
+                         48);
+    EXPECT_EXIT(replayUnderAddressCap(v2), testing::ExitedWithCode(0),
+                "");
+}
+
+/** A batch header claiming 1 GiB over a few bytes buffers only those. */
+TEST(TraceDeathTest, OversizedBatchLengthBuffersOnlyWhatArrives)
+{
+    const std::string v2("BVFT\x02\0\0\0"
+                         "BTCH\0\0\0\x40\x01\0\0\0\0\0\0\0"
+                         "\x01\0\0\0\0\0\0\0",
+                         32);
+    EXPECT_EXIT(replayUnderAddressCap(v2), testing::ExitedWithCode(0),
+                "");
 }
 
 TEST(Trace, TeeDeliversToBothSinks)
