@@ -11,26 +11,25 @@
  * direct backward scan for the reaching unpredicated MOV -- a different
  * algorithm from the optimizer's forward tracking on purpose.
  *
- * Layer 2 is the reference interpreter: a functional mirror of
- * gpu/sm.cc (same per-lane ALU results, the same shared-memory index
- * wrap, the same constant/texture modulo-and-align, the same
- * out-of-bounds global behavior, the same SIMT stack discipline and
- * barrier release rule) without any timing model. Both programs run
- * under the same deterministic schedule and must produce the same
- * store sequence and final memory.
+ * Layer 2 is the reference interpreter: the functional machine of
+ * isa/machine.hh (the warp state, SIMT stack, per-lane execution and
+ * memory address rules gpu/sm.cc runs on) with the SM's barrier release
+ * rule and no timing model. Both programs run under the same
+ * deterministic warp-by-warp schedule and must produce the same store
+ * sequence and final memory.
  */
 
 #include "analysis/equiv.hh"
 
 #include <algorithm>
-#include <array>
+#include <optional>
 
 #include "analysis/interpreter.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "isa/bytecode.hh"
+#include "isa/machine.hh"
 #include "isa/opcode.hh"
-#include "isa/semantics.hh"
 
 namespace bvf::analysis
 {
@@ -41,54 +40,9 @@ namespace
 using isa::Instruction;
 using isa::Opcode;
 
-constexpr int kWarpSize = 32;
-constexpr std::uint32_t kFullMask = 0xffffffffu;
-
-/** Is the guard a real predicate-register read (not the PT sentinel)? */
-bool
-readsGuard(const Instruction &instr)
-{
-    return instr.pred != isa::predTrue || instr.predNegate;
-}
-
-/** Is the product value pinned to a single word? */
-bool
-constantOf(const AbsValue &v, Word &out)
-{
-    if (v.kb().isConstant()) {
-        out = v.kb().knownOne;
-        return true;
-    }
-    if (v.si().slo == v.si().shi) {
-        out = static_cast<Word>(v.si().slo);
-        return true;
-    }
-    return false;
-}
-
 // ---------------------------------------------------------------------
 // Reference interpreter
 // ---------------------------------------------------------------------
-
-struct SimtFrame
-{
-    int pc;
-    std::uint32_t mask;
-    int rpc;
-};
-
-struct RefWarp
-{
-    std::array<std::array<Word, isa::numRegisters>, kWarpSize> regs{};
-    std::array<std::array<bool, isa::numPredicates>, kWarpSize> preds{};
-    std::vector<SimtFrame> stack;
-    std::uint32_t existMask = kFullMask;
-    int warpIdInBlock = 0;
-    int blockId = 0;
-    bool done = false;
-    bool atBarrier = false;
-    bool aborted = false;
-};
 
 class RefMachine
 {
@@ -104,7 +58,7 @@ class RefMachine
         RefObservation obs;
         obs.finished = true;
         for (int block = 0; block < program_.launch.gridBlocks; ++block) {
-            if (!runBlock(block, obs)) {
+            if (!runBlock(block)) {
                 obs.finished = false;
                 break;
             }
@@ -117,43 +71,38 @@ class RefMachine
 
   private:
     bool
-    runBlock(int blockId, RefObservation &obs)
+    runBlock(int blockId)
     {
-        const int threads = program_.launch.blockThreads;
-        const int num_warps = program_.launch.warpsPerBlock();
+        const auto num_warps =
+            static_cast<std::size_t>(program_.launch.warpsPerBlock());
         shared_.assign(program_.sharedBytesPerBlock / 4, 0);
 
-        std::vector<RefWarp> warps(static_cast<std::size_t>(num_warps));
-        for (int w = 0; w < num_warps; ++w) {
-            RefWarp &warp = warps[static_cast<std::size_t>(w)];
-            const int live = std::min(kWarpSize, threads - w * kWarpSize);
-            warp.existMask = live == kWarpSize
-                                 ? kFullMask
-                                 : ((1u << live) - 1u);
-            warp.warpIdInBlock = w;
-            warp.blockId = blockId;
-            warp.stack.push_back(
-                SimtFrame{0, warp.existMask, -1});
+        std::vector<isa::WarpState> warps(num_warps);
+        std::vector<char> at_barrier(num_warps, 0);
+        for (std::size_t w = 0; w < num_warps; ++w) {
+            warps[w].init(static_cast<int>(w), blockId,
+                          program_.launch.blockThreads);
         }
 
         for (;;) {
             bool progressed = false;
-            for (RefWarp &warp : warps) {
-                while (!warp.done && !warp.atBarrier) {
+            for (std::size_t w = 0; w < num_warps; ++w) {
+                while (!warps[w].done() && !at_barrier[w]) {
                     if (budget_ == 0)
                         return false;
                     --budget_;
-                    stepWarp(warp);
-                    if (warp.aborted)
+                    const auto op = stepWarp(warps[w]);
+                    if (!op)
                         return false;
+                    at_barrier[w] = *op == Opcode::Bar;
                     progressed = true;
                 }
             }
             bool all_done = true;
             bool any_waiting = false;
-            for (const RefWarp &warp : warps) {
-                all_done = all_done && warp.done;
-                any_waiting = any_waiting || warp.atBarrier;
+            for (std::size_t w = 0; w < num_warps; ++w) {
+                all_done = all_done && warps[w].done();
+                any_waiting = any_waiting || at_barrier[w];
             }
             if (all_done)
                 break;
@@ -161,243 +110,91 @@ class RefMachine
                 return false; // wedged; cannot happen on admitted code
             // Every live warp is waiting: release the barrier, exactly
             // as Sm::handleBarrierRelease does.
-            for (RefWarp &warp : warps)
-                warp.atBarrier = false;
+            std::fill(at_barrier.begin(), at_barrier.end(), 0);
         }
-        (void)obs;
         sharedFinal_.push_back(shared_);
         return true;
     }
 
-    std::uint32_t
-    guardMaskOf(const RefWarp &warp, const Instruction &instr) const
+    /**
+     * Issue the warp's next instruction and return its opcode; nullopt
+     * when the pc left the body (the run aborts).
+     */
+    std::optional<Opcode>
+    stepWarp(isa::WarpState &warp)
     {
-        const std::uint32_t mask = warp.stack.back().mask;
-        if (instr.pred == isa::predTrue && !instr.predNegate)
-            return mask;
-        std::uint32_t pass = 0;
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!((mask >> lane) & 1u))
-                continue;
-            bool p = warp.preds[static_cast<std::size_t>(lane)]
-                               [instr.pred];
-            if (instr.predNegate)
-                p = !p;
-            if (p)
-                pass |= 1u << lane;
-        }
-        return pass;
-    }
-
-    Word
-    readGlobal(std::uint32_t addr) const
-    {
-        if (addr < isa::globalSegmentBase)
-            return 0;
-        const std::size_t idx = (addr - isa::globalSegmentBase) / 4;
-        return idx < global_.size() ? global_[idx] : 0;
-    }
-
-    void
-    writeGlobal(std::uint32_t addr, Word v)
-    {
-        if (addr < isa::globalSegmentBase)
-            return;
-        const std::size_t idx = (addr - isa::globalSegmentBase) / 4;
-        if (idx < global_.size())
-            global_[idx] = v;
-    }
-
-    Word
-    specialValue(const RefWarp &warp, int lane, isa::SpecialReg sr) const
-    {
-        switch (sr) {
-          case isa::SpecialReg::LaneId:
-            return static_cast<Word>(lane);
-          case isa::SpecialReg::WarpId:
-            return static_cast<Word>(warp.warpIdInBlock);
-          case isa::SpecialReg::TidX:
-            return static_cast<Word>(warp.warpIdInBlock * kWarpSize
-                                     + lane);
-          case isa::SpecialReg::CtaIdX:
-            return static_cast<Word>(warp.blockId);
-          case isa::SpecialReg::NTidX:
-            return static_cast<Word>(program_.launch.blockThreads);
-          case isa::SpecialReg::GridDimX:
-            return static_cast<Word>(program_.launch.gridBlocks);
-        }
-        return 0;
-    }
-
-    void
-    stepWarp(RefWarp &warp)
-    {
-        while (warp.stack.size() > 1
-               && warp.stack.back().pc == warp.stack.back().rpc) {
-            warp.stack.pop_back();
-        }
-        const int pc = warp.stack.back().pc;
-        const int size = static_cast<int>(program_.body.size());
-        if (pc < 0 || pc >= size) {
-            warp.aborted = true;
-            return;
-        }
+        warp.reconvergeIfNeeded();
+        const int pc = warp.pc();
+        if (pc < 0 || pc >= static_cast<int>(program_.body.size()))
+            return std::nullopt;
         const Instruction &instr =
             program_.body[static_cast<std::size_t>(pc)];
-        const std::uint32_t guard = guardMaskOf(warp, instr);
-        auto advance = [&] { ++warp.stack.back().pc; };
+        const std::uint32_t guard = warp.guardMask(instr);
 
         switch (instr.op) {
-          case Opcode::Bra: {
-            const std::uint32_t active = warp.stack.back().mask;
-            if (guard == 0) {
-                advance();
-            } else if (guard == active) {
-                warp.stack.back().pc = instr.imm;
-            } else {
-                SimtFrame &top = warp.stack.back();
-                const std::uint32_t not_taken = top.mask & ~guard;
-                top.pc = instr.reconv;
-                warp.stack.push_back(
-                    SimtFrame{pc + 1, not_taken, instr.reconv});
-                warp.stack.push_back(
-                    SimtFrame{instr.imm, guard, instr.reconv});
-            }
-            return;
-          }
+          case Opcode::Bra:
+            warp.branch(instr, guard);
+            return instr.op;
           case Opcode::Exit:
-            warp.done = true;
-            return;
+            warp.setDone();
+            return instr.op;
           case Opcode::Bar:
-            warp.atBarrier = true;
-            advance();
-            return;
           case Opcode::Nop:
-            advance();
-            return;
+            break;
           default:
+            if (!isa::isMemoryOp(instr.op))
+                warp.executeAlu(instr, guard, program_.launch);
+            else if (guard != 0)
+                executeMemory(warp, instr, guard);
             break;
         }
-
-        if (isa::isMemoryOp(instr.op)) {
-            if (guard != 0)
-                executeMemory(warp, instr, guard);
-            advance();
-            return;
-        }
-
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!((guard >> lane) & 1u))
-                continue;
-            auto &regs = warp.regs[static_cast<std::size_t>(lane)];
-            if (instr.op == Opcode::S2R) {
-                regs[instr.dst] = specialValue(
-                    warp, lane, static_cast<isa::SpecialReg>(instr.flags));
-                continue;
-            }
-            const Word b = instr.immB ? static_cast<Word>(instr.imm)
-                                      : regs[instr.srcB];
-            const Word result = isa::evalLane(instr.op, regs[instr.srcA],
-                                              b, regs[instr.dst],
-                                              instr.flags);
-            if (instr.op == Opcode::SetP) {
-                warp.preds[static_cast<std::size_t>(lane)][instr.dst] =
-                    result != 0;
-                continue;
-            }
-            regs[instr.dst] = result;
-        }
-        advance();
+        warp.advancePc();
+        return instr.op;
     }
 
     void
-    executeMemory(RefWarp &warp, const Instruction &instr,
+    executeMemory(isa::WarpState &warp, const Instruction &instr,
                   std::uint32_t guard)
     {
-        switch (instr.op) {
-          case Opcode::Ldg:
-            for (int lane = 0; lane < kWarpSize; ++lane) {
-                if (!((guard >> lane) & 1u))
-                    continue;
-                auto &regs = warp.regs[static_cast<std::size_t>(lane)];
-                const std::uint32_t a =
-                    regs[instr.srcA]
-                    + static_cast<std::uint32_t>(instr.imm);
-                regs[instr.dst] = readGlobal(a);
-            }
-            return;
-          case Opcode::Stg: {
-            RefStore store;
-            store.space = 'g';
-            for (int lane = 0; lane < kWarpSize; ++lane) {
-                if (!((guard >> lane) & 1u))
-                    continue;
-                auto &regs = warp.regs[static_cast<std::size_t>(lane)];
-                const std::uint32_t a =
-                    regs[instr.srcA]
-                    + static_cast<std::uint32_t>(instr.imm);
-                const Word v = regs[instr.srcB];
-                writeGlobal(a, v);
+        const auto &image = instr.op == Opcode::Ldt ? program_.texture
+                                                    : program_.constants;
+        RefStore store;
+        store.space = instr.op == Opcode::Stg ? 'g' : 's';
+        for (int lane = 0; lane < isa::warpSize; ++lane) {
+            if (!((guard >> lane) & 1u))
+                continue;
+            const std::uint32_t a = warp.laneAddress(lane, instr);
+            switch (instr.op) {
+              case Opcode::Ldg:
+                warp.setReg(lane, instr.dst, isa::readGlobal(global_, a));
+                break;
+              case Opcode::Stg: {
+                const Word v = warp.reg(lane, instr.srcB);
+                isa::writeGlobal(global_, a, v);
                 store.writes.emplace_back(a, v);
+                break;
+              }
+              case Opcode::Lds:
+                warp.setReg(lane, instr.dst, isa::readShared(shared_, a));
+                break;
+              case Opcode::Sts: {
+                const Word v = warp.reg(lane, instr.srcB);
+                isa::writeShared(shared_, a, v);
+                store.writes.emplace_back(
+                    static_cast<std::uint32_t>(
+                        isa::sharedIndex(a, shared_.size())),
+                    v);
+                break;
+              }
+              default: // Ldc, Ldt
+                warp.setReg(lane, instr.dst,
+                            isa::imageWord(image, isa::imageAddress(
+                                                      a, image.size())));
+                break;
             }
-            stores_.push_back(std::move(store));
-            return;
-          }
-          case Opcode::Lds:
-          case Opcode::Sts: {
-            const bool is_store = instr.op == Opcode::Sts;
-            const std::size_t shared_words = shared_.size();
-            RefStore store;
-            store.space = 's';
-            for (int lane = 0; lane < kWarpSize; ++lane) {
-                if (!((guard >> lane) & 1u))
-                    continue;
-                auto &regs = warp.regs[static_cast<std::size_t>(lane)];
-                const std::uint32_t a =
-                    regs[instr.srcA]
-                    + static_cast<std::uint32_t>(instr.imm);
-                const std::size_t idx =
-                    shared_words ? (a / 4) % shared_words : 0;
-                if (is_store) {
-                    const Word v = regs[instr.srcB];
-                    if (shared_words)
-                        shared_[idx] = v;
-                    store.writes.emplace_back(
-                        static_cast<std::uint32_t>(idx), v);
-                } else {
-                    regs[instr.dst] =
-                        shared_words ? shared_[idx] : 0;
-                }
-            }
-            if (is_store)
-                stores_.push_back(std::move(store));
-            return;
-          }
-          case Opcode::Ldc:
-          case Opcode::Ldt: {
-            const auto &image = instr.op == Opcode::Ldt
-                                    ? program_.texture
-                                    : program_.constants;
-            for (int lane = 0; lane < kWarpSize; ++lane) {
-                if (!((guard >> lane) & 1u))
-                    continue;
-                auto &regs = warp.regs[static_cast<std::size_t>(lane)];
-                std::uint32_t a =
-                    regs[instr.srcA]
-                    + static_cast<std::uint32_t>(instr.imm);
-                if (!image.empty())
-                    a %= static_cast<std::uint32_t>(image.size() * 4);
-                a &= ~3u;
-                const std::size_t idx = a / 4;
-                regs[instr.dst] =
-                    idx < image.size() ? image[idx] : Word(0);
-            }
-            return;
-          }
-          default:
-            warp.aborted = true;
-            return;
         }
+        if (isa::isStoreOp(instr.op))
+            stores_.push_back(std::move(store));
     }
 
     const isa::Program &program_;
@@ -412,31 +209,6 @@ class RefMachine
 // Justification layer
 // ---------------------------------------------------------------------
 
-/** Block leaders: pc 0, branch targets / reconv points, post-control. */
-std::vector<char>
-blockLeaders(const isa::Program &p)
-{
-    const int size = static_cast<int>(p.body.size());
-    std::vector<char> leader(static_cast<std::size_t>(size), 0);
-    if (size > 0)
-        leader[0] = 1;
-    auto mark = [&](int pc) {
-        if (pc >= 0 && pc < size)
-            leader[static_cast<std::size_t>(pc)] = 1;
-    };
-    for (int pc = 0; pc < size; ++pc) {
-        const Instruction &instr = p.body[static_cast<std::size_t>(pc)];
-        if (instr.op == Opcode::Bra) {
-            mark(instr.imm);
-            mark(instr.reconv);
-            mark(pc + 1);
-        } else if (instr.op == Opcode::Exit) {
-            mark(pc + 1);
-        }
-    }
-    return leader;
-}
-
 /**
  * Is "register r holds a copy of register s" established at original
  * pc @p use? True iff a backward scan inside use's basic block finds an
@@ -450,7 +222,7 @@ copyAvailable(const isa::Program &p, const std::vector<char> &leader,
         return false;
     for (int q = use - 1; q >= 0; --q) {
         const Instruction &instr = p.body[static_cast<std::size_t>(q)];
-        if (instr.op == Opcode::Mov && !instr.immB && !readsGuard(instr)
+        if (instr.op == Opcode::Mov && !instr.immB && !isa::readsGuard(instr)
             && instr.dst == r && instr.srcB == s) {
             return true;
         }
@@ -469,6 +241,35 @@ struct Liveness
 {
     std::vector<std::uint64_t> regs;
     std::vector<std::uint8_t> preds;
+
+    /**
+     * Live-out of original pc @p pc: the union over its CFG successors.
+     * A deleted never-taken branch contributes no target edge;
+     * everything else keeps both edges (conservative).
+     */
+    std::pair<std::uint64_t, std::uint8_t>
+    out(const isa::Program &p, const std::vector<char> &kept,
+        const AnalysisResult &ar, int pc) const
+    {
+        const int size = static_cast<int>(p.body.size());
+        const Instruction &instr = p.body[static_cast<std::size_t>(pc)];
+        std::uint64_t live_regs = 0;
+        std::uint8_t live_preds = 0;
+        if (instr.op == Opcode::Exit)
+            return {live_regs, live_preds};
+        if (pc + 1 < size) {
+            live_regs |= regs[static_cast<std::size_t>(pc + 1)];
+            live_preds |= preds[static_cast<std::size_t>(pc + 1)];
+        }
+        if (instr.op == Opcode::Bra && instr.imm >= 0 && instr.imm < size
+            && (kept[static_cast<std::size_t>(pc)]
+                || guardValue(ar.in[static_cast<std::size_t>(pc)], instr)
+                       != Bool3::False)) {
+            live_regs |= regs[static_cast<std::size_t>(instr.imm)];
+            live_preds |= preds[static_cast<std::size_t>(instr.imm)];
+        }
+        return {live_regs, live_preds};
+    }
 };
 
 /**
@@ -488,66 +289,18 @@ restrictedLiveness(const isa::Program &p, const std::vector<char> &kept,
     live.regs.assign(static_cast<std::size_t>(size), 0);
     live.preds.assign(static_cast<std::size_t>(size), 0);
 
-    auto out_of = [&](int pc) {
-        const Instruction &instr = p.body[static_cast<std::size_t>(pc)];
-        std::uint64_t regs = 0;
-        std::uint8_t preds = 0;
-        if (instr.op != Opcode::Exit) {
-            if (pc + 1 < size) {
-                regs |= live.regs[static_cast<std::size_t>(pc + 1)];
-                preds |= live.preds[static_cast<std::size_t>(pc + 1)];
-            }
-            // A deleted never-taken branch contributes no target edge;
-            // everything else keeps both edges (conservative).
-            const bool taken_edge =
-                instr.op == Opcode::Bra && instr.imm >= 0
-                && instr.imm < size
-                && (kept[static_cast<std::size_t>(pc)]
-                    || guardValue(ar.in[static_cast<std::size_t>(pc)],
-                                  instr)
-                           != Bool3::False);
-            if (taken_edge) {
-                regs |= live.regs[static_cast<std::size_t>(instr.imm)];
-                preds |=
-                    live.preds[static_cast<std::size_t>(instr.imm)];
-            }
-        }
-        return std::pair{regs, preds};
-    };
-
     bool changed = true;
     while (changed) {
         changed = false;
         for (int pc = size - 1; pc >= 0; --pc) {
-            auto [regs, preds] = out_of(pc);
+            auto [regs, preds] = live.out(p, kept, ar, pc);
             if (kept[static_cast<std::size_t>(pc)]) {
                 const Instruction &instr =
                     *effective[static_cast<std::size_t>(pc)];
-                const bool certain = !readsGuard(instr);
-                if (certain && isa::writesRegister(instr.op)
-                    && instr.dst < isa::numRegisters) {
-                    regs &= ~(std::uint64_t(1) << instr.dst);
-                }
-                if (certain && instr.op == Opcode::SetP
-                    && instr.dst < isa::numPredicates) {
-                    preds &= static_cast<std::uint8_t>(
-                        ~(1u << instr.dst));
-                }
-                if (isa::readsSrcA(instr.op)
-                    && instr.srcA < isa::numRegisters)
-                    regs |= std::uint64_t(1) << instr.srcA;
-                if (isa::readsSrcB(instr.op) && !instr.immB
-                    && instr.srcB < isa::numRegisters) {
-                    regs |= std::uint64_t(1) << instr.srcB;
-                }
-                if (isa::readsDst(instr.op)
-                    && instr.dst < isa::numRegisters)
-                    regs |= std::uint64_t(1) << instr.dst;
-                if (readsGuard(instr)
-                    && instr.pred < isa::numPredicates) {
-                    preds |= static_cast<std::uint8_t>(1u
-                                                       << instr.pred);
-                }
+                regs = (regs & ~isa::regKills(instr)) | isa::regUses(instr);
+                preds = static_cast<std::uint8_t>(
+                    (preds & ~isa::predKills(instr))
+                    | isa::predUses(instr));
             }
             const auto idx = static_cast<std::size_t>(pc);
             if (regs != live.regs[idx] || preds != live.preds[idx]) {
@@ -579,33 +332,6 @@ struct Justifier
         if (pc >= size)
             return newPos[static_cast<std::size_t>(size)];
         return newPos[static_cast<std::size_t>(pc)];
-    }
-
-    /** Live-out of original pc under the restricted liveness. */
-    std::pair<std::uint64_t, std::uint8_t>
-    liveOut(int pc) const
-    {
-        const int size = static_cast<int>(orig.body.size());
-        const Instruction &instr =
-            orig.body[static_cast<std::size_t>(pc)];
-        std::uint64_t regs = 0;
-        std::uint8_t preds = 0;
-        if (instr.op == Opcode::Exit)
-            return {regs, preds};
-        if (pc + 1 < size) {
-            regs |= live.regs[static_cast<std::size_t>(pc + 1)];
-            preds |= live.preds[static_cast<std::size_t>(pc + 1)];
-        }
-        if (instr.op == Opcode::Bra && instr.imm >= 0
-            && instr.imm < size
-            && (kept[static_cast<std::size_t>(pc)]
-                || guardValue(ar.in[static_cast<std::size_t>(pc)],
-                              instr)
-                       != Bool3::False)) {
-            regs |= live.regs[static_cast<std::size_t>(instr.imm)];
-            preds |= live.preds[static_cast<std::size_t>(instr.imm)];
-        }
-        return {regs, preds};
     }
 };
 
@@ -677,7 +403,7 @@ justifyKept(const Justifier &jx, int j, const Instruction &o,
                              j);
         if (sameGuard(o, n))
             return "";
-        if (!readsGuard(n) && guardValue(in, o) == Bool3::True)
+        if (!isa::readsGuard(n) && guardValue(in, o) == Bool3::True)
             return ""; // proven-taken branch unpredicated
         return strFormat("pc %d: branch guard edited without a "
                          "provably-true original guard",
@@ -748,8 +474,8 @@ justifyKept(const Justifier &jx, int j, const Instruction &o,
                 return "";
             break;
           case Opcode::And:
-            if ((survivesA && hasB && cb == kFullMask)
-                || (survivesB && hasA && ca == kFullMask))
+            if ((survivesA && hasB && cb == isa::fullMask)
+                || (survivesB && hasA && ca == isa::fullMask))
                 return "";
             break;
           default:
@@ -837,14 +563,14 @@ justifyDeletion(const Justifier &jx, int j)
         if (o.imm >= 0 && o.imm <= size && o.reconv >= 0
             && o.reconv <= size
             && jx.posOf(o.imm) == jx.posOf(j + 1)
-            && (!readsGuard(o) || guard == Bool3::True
+            && (!isa::readsGuard(o) || guard == Bool3::True
                 || jx.posOf(o.reconv) == jx.posOf(j + 1))) {
             return ""; // both arms collapse onto the fallthrough
         }
         return strFormat("pc %d: deleted branch does not collapse", j);
     }
 
-    const auto [out_regs, out_preds] = jx.liveOut(j);
+    const auto [out_regs, out_preds] = jx.live.out(jx.orig, jx.kept, jx.ar, j);
     if (isa::writesRegister(o.op) && o.dst < isa::numRegisters
         && !((out_regs >> o.dst) & 1u)) {
         return ""; // dead register write (loads included)

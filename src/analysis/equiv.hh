@@ -22,10 +22,10 @@
  *     a branch whose arms collapse onto the fallthrough.
  *
  *  2. Differential concrete simulation. Both programs run under a
- *     deterministic reference interpreter that mirrors the SM's
- *     functional semantics exactly (SIMT stack, barrier release,
- *     per-lane ALU/memory behavior including the shared-memory wrap
- *     and constant/texture modulo), over the original images plus
+ *     deterministic reference interpreter built on the functional
+ *     machine the SM executes (isa/machine.hh: SIMT stack, per-lane
+ *     ALU, the shared-memory wrap and constant/texture modulo) plus the
+ *     SM's barrier release rule, over the original images plus
  *     seeded random replacements. The full store sequence and the
  *     final global/shared contents must match record for record.
  *

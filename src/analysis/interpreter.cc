@@ -12,39 +12,11 @@ using isa::Opcode;
 namespace
 {
 
-// Malformed programs may carry register/predicate numbers past the
-// architectural limits; reduce them the way a hardware decoder's field
-// width would so the analysis stays memory-safe (the linter flags the
-// encoding separately).
-std::size_t
-regIndex(std::uint8_t r)
-{
-    return r % isa::numRegisters;
-}
-
-std::size_t
-predIndex(std::uint8_t p)
-{
-    return p % isa::numPredicates;
-}
-
 /** Interval-join count per pc before the intervals widen to top. */
 constexpr int widenThreshold = 256;
 
 /** Outer load/store iterations before memory summaries widen to top. */
 constexpr int memoryIterations = 8;
-
-AbsState
-initialState()
-{
-    AbsState s;
-    s.regs.fill(AbsValue::constant(0));
-    s.preds.fill(PredValue{Bool3::False, Uniformity::Uniform});
-    s.regWritten = 0;
-    s.predWritten = 0;
-    s.reachable = true;
-    return s;
-}
 
 bool
 sameState(const AbsState &a, const AbsState &b)
@@ -52,32 +24,6 @@ sameState(const AbsState &a, const AbsState &b)
     return a.reachable == b.reachable && a.regWritten == b.regWritten
            && a.predWritten == b.predWritten && a.regs == b.regs
            && a.preds == b.preds;
-}
-
-/**
- * Join @p next into @p into. With @p doWiden, any component still
- * growing is widened per the domain's own rule (see product.hh) so
- * loops terminate; finite-height components pass through.
- */
-AbsState
-joinState(const AbsState &into, const AbsState &next, bool doWiden)
-{
-    AbsState r;
-    r.reachable = true;
-    r.regWritten = into.regWritten & next.regWritten;
-    r.predWritten = into.predWritten & next.predWritten;
-    for (int i = 0; i < isa::numRegisters; ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        AbsValue j = join(into.regs[idx], next.regs[idx]);
-        if (doWiden)
-            j = widen(into.regs[idx], j);
-        r.regs[idx] = j;
-    }
-    for (int i = 0; i < isa::numPredicates; ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        r.preds[idx] = join(into.preds[idx], next.preds[idx]);
-    }
-    return r;
 }
 
 KnownBits
@@ -276,47 +222,6 @@ Stepper::step(int pc, const AbsState &in)
     if (guard == Bool3::False)
         return {{pc + 1, in}};
 
-    AbsState out = in;
-    const bool certain = guard == Bool3::True;
-
-    // Whole-warp write: when this instruction executes at all, every
-    // lane of the warp executes it. Requires a lane-uniform guard and a
-    // pc no divergent branch region covers; only such writes may keep
-    // lane-affine facts or predicate uniformity.
-    const bool wholeWarp =
-        !divergentRegion_[static_cast<std::size_t>(pc)]
-        && guardUniformity(in, instr) == Uniformity::Uniform;
-
-    if (instr.op == Opcode::SetP) {
-        const isa::CmpOp cmp = static_cast<isa::CmpOp>(instr.flags);
-        Bool3 v = kbCompare(cmp, operandA(in, instr), operandB(in, instr));
-        if (v == Bool3::Unknown) {
-            const SignedInterval &sa = in.regs[regIndex(instr.srcA)].si();
-            const SignedInterval sb =
-                instr.immB
-                    ? SignedInterval::constant(static_cast<Word>(instr.imm))
-                    : in.regs[regIndex(instr.srcB)].si();
-            v = siCompare(cmp, sa, sb);
-        }
-        const bool lanesAgree =
-            in.regs[regIndex(instr.srcA)].affine().isUniform()
-            && (instr.immB
-                || in.regs[regIndex(instr.srcB)].affine().isUniform());
-        const Uniformity uni = wholeWarp && lanesAgree
-                                   ? Uniformity::Uniform
-                                   : Uniformity::MayDiverge;
-        const std::size_t idx = predIndex(instr.dst);
-        if (certain) {
-            out.preds[idx] = {v, uni};
-            out.predWritten |= static_cast<std::uint8_t>(1u << idx);
-        } else {
-            out.preds[idx].value = join(in.preds[idx].value, v);
-            out.preds[idx].uni = wholeWarp ? join(in.preds[idx].uni, uni)
-                                           : Uniformity::MayDiverge;
-        }
-        return {{pc + 1, out}};
-    }
-
     if (isa::isStoreOp(instr.op)) {
         const KnownBits value = in.regs[regIndex(instr.srcB)].kb();
         if (instr.op == Opcode::Stg) {
@@ -328,23 +233,16 @@ Stepper::step(int pc, const AbsState &in)
                                             : value;
             anySharedStore_ = true;
         }
-        return {{pc + 1, out}};
+        return {{pc + 1, in}};
     }
 
-    // Register-writing instructions (ALU ops and loads).
-    AbsValue result = isa::isLoadOp(instr.op)
-                          ? loadValue(instr, in, memory_)
-                          : aluValue(instr, in, program_.launch);
-    if (!wholeWarp) {
-        // A partial-mask write leaves stale values in the sat-out
-        // lanes; the vector is a mixture with no affine structure.
-        result.affine() = LaneAffine::top();
+    AbsState out = in;
+    transferWrite(instr, divergentRegion_[static_cast<std::size_t>(pc)],
+                  program_.launch, memory_, out);
+    if (isa::writesRegister(instr.op)) {
+        const std::size_t idx = regIndex(instr.dst);
+        noteWrite(static_cast<int>(idx), out.regs[idx].kb());
     }
-    const std::size_t idx = regIndex(instr.dst);
-    out.regs[idx] = certain ? result : join(in.regs[idx], result);
-    if (certain)
-        out.regWritten |= std::uint64_t(1) << idx;
-    noteWrite(static_cast<int>(idx), out.regs[idx].kb());
     return {{pc + 1, out}};
 }
 
@@ -379,7 +277,7 @@ contaminate(std::vector<std::uint8_t> &region, const isa::Program &program,
         if (instr.op == Opcode::Bra) {
             stack.push_back(instr.imm);
             // An unconditional branch never falls through.
-            if (instr.pred != isa::predTrue || instr.predNegate)
+            if (isa::readsGuard(instr))
                 stack.push_back(pc + 1);
             continue;
         }
@@ -389,6 +287,75 @@ contaminate(std::vector<std::uint8_t> &region, const isa::Program &program,
 }
 
 } // namespace
+
+AbsState
+entryState()
+{
+    AbsState s;
+    s.regs.fill(AbsValue::constant(0));
+    s.preds.fill(PredValue{Bool3::False, Uniformity::Uniform});
+    s.reachable = true;
+    return s;
+}
+
+AbsState
+joinState(const AbsState &into, const AbsState &next, bool doWiden)
+{
+    AbsState r;
+    r.reachable = true;
+    r.regWritten = into.regWritten & next.regWritten;
+    r.predWritten = into.predWritten & next.predWritten;
+    for (int i = 0; i < isa::numRegisters; ++i) {
+        const auto idx = static_cast<std::size_t>(i);
+        AbsValue j = join(into.regs[idx], next.regs[idx]);
+        if (doWiden)
+            j = widen(into.regs[idx], j);
+        r.regs[idx] = j;
+    }
+    for (int i = 0; i < isa::numPredicates; ++i) {
+        const auto idx = static_cast<std::size_t>(i);
+        r.preds[idx] = join(into.preds[idx], next.preds[idx]);
+    }
+    return r;
+}
+
+bool
+constantOf(const AbsValue &v, Word &out)
+{
+    if (v.kb().isConstant()) {
+        out = v.kb().knownOne;
+        return true;
+    }
+    if (v.si().slo == v.si().shi) {
+        out = static_cast<Word>(v.si().slo);
+        return true;
+    }
+    return false;
+}
+
+std::vector<char>
+blockLeaders(const isa::Program &program)
+{
+    const int size = static_cast<int>(program.body.size());
+    std::vector<char> leader(static_cast<std::size_t>(size), 0);
+    if (size > 0)
+        leader[0] = 1;
+    auto mark = [&](int pc) {
+        if (pc >= 0 && pc < size)
+            leader[static_cast<std::size_t>(pc)] = 1;
+    };
+    for (int pc = 0; pc < size; ++pc) {
+        const Instruction &instr = program.body[static_cast<std::size_t>(pc)];
+        if (instr.op == Opcode::Bra) {
+            mark(instr.imm);
+            mark(instr.reconv);
+            mark(pc + 1);
+        } else if (instr.op == Opcode::Exit) {
+            mark(pc + 1);
+        }
+    }
+    return leader;
+}
 
 AbsValue
 reduceValue(AbsValue v)
@@ -436,7 +403,7 @@ reduceValue(AbsValue v)
 Bool3
 guardValue(const AbsState &s, const Instruction &instr)
 {
-    if (instr.pred == isa::predTrue && !instr.predNegate)
+    if (!isa::readsGuard(instr))
         return Bool3::True;
     const Bool3 v = s.preds[instr.pred % isa::numPredicates].value;
     return instr.predNegate ? not3(v) : v;
@@ -445,7 +412,7 @@ guardValue(const AbsState &s, const Instruction &instr)
 Uniformity
 guardUniformity(const AbsState &s, const Instruction &instr)
 {
-    if (instr.pred == isa::predTrue && !instr.predNegate)
+    if (!isa::readsGuard(instr))
         return Uniformity::Uniform;
     // Negation is lanewise; it cannot create divergence.
     return s.preds[instr.pred % isa::numPredicates].uni;
@@ -595,6 +562,67 @@ memoryAddress(const AbsState &s, const Instruction &instr)
                  KnownBits::constant(static_cast<Word>(instr.imm)));
 }
 
+void
+transferWrite(const Instruction &instr, bool divergent,
+              const isa::LaunchDims &launch, const MemorySummaries &memory,
+              AbsState &state)
+{
+    const Bool3 guard = guardValue(state, instr);
+    if (guard == Bool3::False)
+        return;
+    const bool certain = guard == Bool3::True;
+
+    // Whole-warp write: when this instruction executes at all, every
+    // lane of the warp executes it.
+    const bool wholeWarp =
+        !divergent && guardUniformity(state, instr) == Uniformity::Uniform;
+
+    if (instr.op == Opcode::SetP) {
+        const isa::CmpOp cmp = static_cast<isa::CmpOp>(instr.flags);
+        Bool3 v =
+            kbCompare(cmp, operandA(state, instr), operandB(state, instr));
+        const AbsValue &a = state.regs[regIndex(instr.srcA)];
+        const AbsValue &b = state.regs[regIndex(instr.srcB)];
+        if (v == Bool3::Unknown) {
+            v = siCompare(cmp, a.si(),
+                          instr.immB ? SignedInterval::constant(
+                                           static_cast<Word>(instr.imm))
+                                     : b.si());
+        }
+        const bool lanesAgree =
+            a.affine().isUniform() && (instr.immB || b.affine().isUniform());
+        const Uniformity uni = wholeWarp && lanesAgree
+                                   ? Uniformity::Uniform
+                                   : Uniformity::MayDiverge;
+        const std::size_t idx = predIndex(instr.dst);
+        PredValue &pred = state.preds[idx];
+        if (certain) {
+            pred = {v, uni};
+            state.predWritten |= static_cast<std::uint8_t>(1u << idx);
+        } else {
+            pred.value = join(pred.value, v);
+            pred.uni = wholeWarp ? join(pred.uni, uni)
+                                 : Uniformity::MayDiverge;
+        }
+        return;
+    }
+
+    if (!isa::writesRegister(instr.op))
+        return;
+    AbsValue result = isa::isLoadOp(instr.op)
+                          ? loadValue(instr, state, memory)
+                          : aluValue(instr, state, launch);
+    if (!wholeWarp) {
+        // A partial-mask write leaves stale values in the sat-out
+        // lanes; the vector is a mixture with no affine structure.
+        result.affine() = LaneAffine::top();
+    }
+    const std::size_t idx = regIndex(instr.dst);
+    state.regs[idx] = certain ? result : join(state.regs[idx], result);
+    if (certain)
+        state.regWritten |= std::uint64_t(1) << idx;
+}
+
 AnalysisResult
 analyzeProgram(const isa::Program &program)
 {
@@ -629,7 +657,7 @@ analyzeProgram(const isa::Program &program)
 
             for (AbsState &s : result.in)
                 s = AbsState{};
-            result.in[0] = initialState();
+            result.in[0] = entryState();
             result.fellOffEnd = false;
 
             std::vector<int> updates(static_cast<std::size_t>(size), 0);

@@ -175,7 +175,43 @@ struct AnalysisResult
 /** Run the fixpoint. Handles empty bodies (returns no states). */
 AnalysisResult analyzeProgram(const isa::Program &program);
 
-// --- transfer helpers shared with the linter, predictor and advisor ----
+/** The machine's entry state: zero registers, false predicates. */
+AbsState entryState();
+
+/**
+ * Join @p next into @p into. With @p doWiden, any component still
+ * growing is widened per the domain's own rule (see product.hh) so
+ * loops terminate; finite-height components pass through.
+ */
+AbsState joinState(const AbsState &into, const AbsState &next,
+                   bool doWiden = false);
+
+// --- helpers shared by every client of the analysis ------------------
+
+/**
+ * Register index the state uses for operand field @p r. Malformed
+ * programs may carry numbers past the architectural limits; reduce them
+ * the way a hardware decoder's field width would so the analysis stays
+ * memory-safe (the rules in rules.hh flag the encoding separately).
+ */
+inline std::size_t
+regIndex(std::uint8_t r)
+{
+    return r % isa::numRegisters;
+}
+
+/** Predicate index for operand field @p p (see regIndex). */
+inline std::size_t
+predIndex(std::uint8_t p)
+{
+    return p % isa::numPredicates;
+}
+
+/** Is the product value pinned to a single word? Then store it in @p out. */
+bool constantOf(const AbsValue &v, Word &out);
+
+/** Block leaders: pc 0, branch targets / reconv points, post-control. */
+std::vector<char> blockLeaders(const isa::Program &program);
 
 /** Abstract value of the instruction's guard at state @p s. */
 Bool3 guardValue(const AbsState &s, const isa::Instruction &instr);
@@ -216,6 +252,18 @@ AbsValue loadValue(const isa::Instruction &instr, const AbsState &s,
 
 /** Abstract byte address of a memory instruction (reg[srcA] + imm). */
 KnownBits memoryAddress(const AbsState &s, const isa::Instruction &instr);
+
+/**
+ * Apply the register or predicate write of a non-control instruction to
+ * @p state (stores and control instructions write neither). A true
+ * guard overwrites and marks the destination written, an unknown guard
+ * joins, a false guard leaves the state alone. Only a whole-warp write
+ * -- lane-uniform guard, pc outside every divergent region (@p
+ * divergent) -- keeps lane-affine facts and predicate uniformity.
+ */
+void transferWrite(const isa::Instruction &instr, bool divergent,
+                   const isa::LaunchDims &launch,
+                   const MemorySummaries &memory, AbsState &state);
 
 } // namespace bvf::analysis
 

@@ -128,7 +128,7 @@ KnownBits join(const KnownBits &a, const KnownBits &b);
  */
 KnownBits widen(const KnownBits &prev, const KnownBits &next);
 
-// --- transfer functions (mirror src/gpu/sm.cc exactly) -----------------
+// --- transfer functions (sound abstractions of isa::evalLane) ----------
 
 /** a + b (32-bit wrapping). */
 KnownBits kbAdd(const KnownBits &a, const KnownBits &b);

@@ -1,9 +1,9 @@
 #include "analysis/lint.hh"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "analysis/interpreter.hh"
+#include "analysis/rules.hh"
+#include "common/logging.hh"
 
 namespace bvf::analysis
 {
@@ -13,21 +13,6 @@ using isa::Opcode;
 
 namespace
 {
-
-std::string
-format(const char *fmt, auto... args)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof buf, fmt, args...);
-    return buf;
-}
-
-/** Is the guard a real predicate-register read (not the PT sentinel)? */
-bool
-readsGuard(const Instruction &instr)
-{
-    return instr.pred != isa::predTrue || instr.predNegate;
-}
 
 class Linter
 {
@@ -41,11 +26,7 @@ class Linter
 
   private:
     void add(LintCode code, int pc, std::string message);
-    void checkCanonical(int pc, const Instruction &instr);
-    void checkReconv(int pc, const Instruction &instr);
-    void checkUninit(int pc, const Instruction &instr, const AbsState &in);
-    void checkMemoryBounds(int pc, const Instruction &instr,
-                           const AbsState &in);
+    void report(int pc, std::vector<RuleViolation> &violations);
     void checkFallsOffEnd();
     void checkDeadWrites();
 
@@ -60,183 +41,29 @@ Linter::add(LintCode code, int pc, std::string message)
     findings_.push_back({code, pc, std::move(message)});
 }
 
+/**
+ * Each violated rule as a finding (and clear @p violations). Global
+ * accesses stay with admission: out of the segment they read zero
+ * instead of wrapping.
+ */
 void
-Linter::checkCanonical(int pc, const Instruction &instr)
+Linter::report(int pc, std::vector<RuleViolation> &violations)
 {
-    const Opcode op = instr.op;
-    const bool writes_reg = isa::writesRegister(op);
-    const bool reads_b = isa::readsSrcB(op);
-
-    if (instr.pred >= isa::numPredicates) {
-        add(LintCode::NonCanonical, pc,
-            format("predicate %d out of range", int(instr.pred)));
-    } else if (instr.pred == isa::predTrue && instr.predNegate) {
-        add(LintCode::NonCanonical, pc,
-            "guard reads the PT sentinel predicate (p0 with negate)");
-    }
-
-    if (op == Opcode::SetP) {
-        if (instr.dst >= isa::numPredicates)
-            add(LintCode::NonCanonical, pc,
-                format("SetP predicate destination %d out of range",
-                       int(instr.dst)));
-    } else if (writes_reg) {
-        if (instr.dst >= isa::numRegisters)
-            add(LintCode::NonCanonical, pc,
-                format("destination register %d out of range",
-                       int(instr.dst)));
-    } else if (instr.dst != 0) {
-        add(LintCode::NonCanonical, pc,
-            format("%s ignores dst but dst=%d", opcodeName(op).c_str(),
-                   int(instr.dst)));
-    }
-
-    if (isa::readsSrcA(op)) {
-        if (instr.srcA >= isa::numRegisters)
-            add(LintCode::NonCanonical, pc,
-                format("srcA register %d out of range", int(instr.srcA)));
-    } else if (instr.srcA != 0) {
-        add(LintCode::NonCanonical, pc,
-            format("%s ignores srcA but srcA=%d", opcodeName(op).c_str(),
-                   int(instr.srcA)));
-    }
-
-    if (reads_b && !instr.immB) {
-        if (instr.srcB >= isa::numRegisters)
-            add(LintCode::NonCanonical, pc,
-                format("srcB register %d out of range", int(instr.srcB)));
-    } else if (instr.srcB != 0) {
-        add(LintCode::NonCanonical, pc,
-            format("%s ignores srcB but srcB=%d", opcodeName(op).c_str(),
-                   int(instr.srcB)));
-    }
-
-    // Stores read srcB from the register file unconditionally, so an
-    // immediate-B store would silently use the register anyway.
-    if (instr.immB && (!reads_b || isa::isMemoryOp(op))) {
-        add(LintCode::NonCanonical, pc,
-            format("%s does not take an immediate srcB",
-                   opcodeName(op).c_str()));
-    }
-
-    if (op == Opcode::SetP || op == Opcode::S2R) {
-        if (instr.flags >= 6)
-            add(LintCode::NonCanonical, pc,
-                format("%s selector flags=%d out of range",
-                       opcodeName(op).c_str(), int(instr.flags)));
-    } else if (instr.flags != 0) {
-        add(LintCode::NonCanonical, pc,
-            format("%s ignores flags but flags=%d",
-                   opcodeName(op).c_str(), int(instr.flags)));
-    }
-
-    const bool uses_imm =
-        instr.immB || isa::isMemoryOp(op) || op == Opcode::Bra;
-    if (!uses_imm && instr.imm != 0) {
-        add(LintCode::NonCanonical, pc,
-            format("%s ignores imm but imm=%d", opcodeName(op).c_str(),
-                   instr.imm));
-    }
-    if (instr.imm < -32768 || instr.imm > 32767) {
-        add(LintCode::NonCanonical, pc,
-            format("imm=%d exceeds the 16-bit encoding", instr.imm));
-    }
-
-    if (op != Opcode::Bra && instr.reconv != 0) {
-        add(LintCode::NonCanonical, pc,
-            format("%s ignores reconv but reconv=%d",
-                   opcodeName(op).c_str(), instr.reconv));
-    }
-}
-
-void
-Linter::checkReconv(int pc, const Instruction &instr)
-{
-    if (instr.op != Opcode::Bra)
-        return;
-    const int size = static_cast<int>(program_.body.size());
-    const int target = instr.imm;
-    const int reconv = instr.reconv;
-    // Forward branch: reconvergence at or past the target; backward
-    // branch (loop): reconvergence strictly past the branch.
-    const bool forward = pc < target && target <= reconv && reconv < size;
-    const bool backward =
-        0 <= target && target <= pc && pc < reconv && reconv < size;
-    if (!forward && !backward) {
-        add(LintCode::BadReconv, pc,
-            format("branch target %d / reconv %d malformed (body size %d)",
-                   target, reconv, size));
-    }
-}
-
-void
-Linter::checkUninit(int pc, const Instruction &instr, const AbsState &in)
-{
-    auto reg_read = [&](std::uint8_t r, const char *role) {
-        if (r < isa::numRegisters && !((in.regWritten >> r) & 1u)) {
-            add(LintCode::UninitRegRead, pc,
-                format("r%d read as %s before any write on some path",
-                       int(r), role));
+    for (const RuleViolation &v : violations) {
+        LintCode code = LintCode::NonCanonical;
+        switch (v.rule) {
+          case Rule::NonCanonical: code = LintCode::NonCanonical; break;
+          case Rule::BadBranch: code = LintCode::BadReconv; break;
+          case Rule::UninitRegRead: code = LintCode::UninitRegRead; break;
+          case Rule::UninitPredRead: code = LintCode::UninitPredRead; break;
+          case Rule::SharedOob: code = LintCode::SharedOob; break;
+          case Rule::ConstOob: code = LintCode::ConstOob; break;
+          case Rule::TexOob: code = LintCode::TexOob; break;
+          case Rule::GlobalOob: continue;
         }
-    };
-    if (isa::readsSrcA(instr.op))
-        reg_read(instr.srcA, "srcA");
-    if (isa::readsSrcB(instr.op) && !instr.immB)
-        reg_read(instr.srcB, "srcB");
-    if (readsDst(instr.op))
-        reg_read(instr.dst, "accumulator");
-
-    if (readsGuard(instr) && instr.pred < isa::numPredicates
-        && !((in.predWritten >> instr.pred) & 1u)) {
-        add(LintCode::UninitPredRead, pc,
-            format("p%d guards before any SetP on some path",
-                   int(instr.pred)));
+        add(code, pc, v.wraps ? v.message + " (wraps)" : v.message);
     }
-}
-
-void
-Linter::checkMemoryBounds(int pc, const Instruction &instr,
-                          const AbsState &in)
-{
-    // A provably-false guard means the access never happens.
-    if (guardValue(in, instr) == Bool3::False)
-        return;
-
-    const KnownBits addr = memoryAddress(in, instr);
-    switch (instr.op) {
-      case Opcode::Lds:
-      case Opcode::Sts: {
-        const std::uint32_t bytes = program_.sharedBytesPerBlock;
-        if (bytes == 0) {
-            add(LintCode::SharedOob, pc,
-                "shared access but the block has no shared segment");
-        } else if (addr.hi >= bytes) {
-            add(LintCode::SharedOob, pc,
-                format("shared offset may reach %u of a %u-byte segment "
-                       "(wraps)",
-                       addr.hi, bytes));
-        }
-        return;
-      }
-      case Opcode::Ldc:
-      case Opcode::Ldt: {
-        const bool tex = instr.op == Opcode::Ldt;
-        const auto &image = tex ? program_.texture : program_.constants;
-        const LintCode code = tex ? LintCode::TexOob : LintCode::ConstOob;
-        const char *space = tex ? "texture" : "constant";
-        const auto bytes = static_cast<std::uint32_t>(image.size() * 4);
-        if (bytes == 0) {
-            add(code, pc, format("%s load but the image is empty", space));
-        } else if (addr.hi >= bytes) {
-            add(code, pc,
-                format("%s offset may reach %u of a %u-byte image (wraps)",
-                       space, addr.hi, bytes));
-        }
-        return;
-      }
-      default:
-        return;
-    }
+    violations.clear();
 }
 
 void
@@ -277,61 +104,6 @@ Linter::checkDeadWrites()
     std::vector<std::uint64_t> live_regs(static_cast<std::size_t>(size), 0);
     std::vector<std::uint8_t> live_preds(static_cast<std::size_t>(size), 0);
 
-    auto transfer = [&](int pc) {
-        const Instruction &instr =
-            program_.body[static_cast<std::size_t>(pc)];
-        std::uint64_t out_regs = 0;
-        std::uint8_t out_preds = 0;
-        if (instr.op != Opcode::Exit) {
-            if (pc + 1 < size) {
-                out_regs |= live_regs[static_cast<std::size_t>(pc + 1)];
-                out_preds |= live_preds[static_cast<std::size_t>(pc + 1)];
-            }
-            if (instr.op == Opcode::Bra && instr.imm >= 0
-                && instr.imm < size) {
-                out_regs |= live_regs[static_cast<std::size_t>(instr.imm)];
-                out_preds |=
-                    live_preds[static_cast<std::size_t>(instr.imm)];
-            }
-        }
-        // Kill: only unpredicated writes are certain to overwrite.
-        const bool certain = !readsGuard(instr);
-        if (certain && isa::writesRegister(instr.op)
-            && instr.dst < isa::numRegisters) {
-            out_regs &= ~(std::uint64_t(1) << instr.dst);
-        }
-        if (certain && instr.op == Opcode::SetP
-            && instr.dst < isa::numPredicates) {
-            out_preds &= static_cast<std::uint8_t>(~(1u << instr.dst));
-        }
-        // Gen: every register/predicate the instruction reads.
-        if (isa::readsSrcA(instr.op) && instr.srcA < isa::numRegisters)
-            out_regs |= std::uint64_t(1) << instr.srcA;
-        if (isa::readsSrcB(instr.op) && !instr.immB
-            && instr.srcB < isa::numRegisters) {
-            out_regs |= std::uint64_t(1) << instr.srcB;
-        }
-        if (readsDst(instr.op) && instr.dst < isa::numRegisters)
-            out_regs |= std::uint64_t(1) << instr.dst;
-        if (readsGuard(instr) && instr.pred < isa::numPredicates)
-            out_preds |= static_cast<std::uint8_t>(1u << instr.pred);
-        return std::pair{out_regs, out_preds};
-    };
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int pc = size - 1; pc >= 0; --pc) {
-            const auto [regs, preds] = transfer(pc);
-            const auto idx = static_cast<std::size_t>(pc);
-            if (regs != live_regs[idx] || preds != live_preds[idx]) {
-                live_regs[idx] = regs;
-                live_preds[idx] = preds;
-                changed = true;
-            }
-        }
-    }
-
     auto live_out = [&](int pc) {
         const Instruction &instr =
             program_.body[static_cast<std::size_t>(pc)];
@@ -351,6 +123,26 @@ Linter::checkDeadWrites()
         return std::pair{regs, preds};
     };
 
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (int pc = size - 1; pc >= 0; --pc) {
+            const auto idx = static_cast<std::size_t>(pc);
+            const Instruction &instr = program_.body[idx];
+            // Kill what an unpredicated write certainly overwrites; gen
+            // every read.
+            auto [regs, preds] = live_out(pc);
+            regs = (regs & ~isa::regKills(instr)) | isa::regUses(instr);
+            preds = static_cast<std::uint8_t>(
+                (preds & ~isa::predKills(instr)) | isa::predUses(instr));
+            if (regs != live_regs[idx] || preds != live_preds[idx]) {
+                live_regs[idx] = regs;
+                live_preds[idx] = preds;
+                changed = true;
+            }
+        }
+    }
+
     for (int pc = 0; pc < size; ++pc) {
         const auto idx = static_cast<std::size_t>(pc);
         if (!analysis_.in[idx].reachable)
@@ -360,14 +152,14 @@ Linter::checkDeadWrites()
         if (isa::writesRegister(instr.op) && instr.dst < isa::numRegisters
             && !((regs >> instr.dst) & 1u)) {
             add(LintCode::DeadWrite, pc,
-                format("r%d written but never read afterwards",
-                       int(instr.dst)));
+                strFormat("r%d written but never read afterwards",
+                          int(instr.dst)));
         }
         if (instr.op == Opcode::SetP && instr.dst < isa::numPredicates
             && !((preds >> instr.dst) & 1u)) {
             add(LintCode::DeadWrite, pc,
-                format("p%d set but never read afterwards",
-                       int(instr.dst)));
+                strFormat("p%d set but never read afterwards",
+                          int(instr.dst)));
         }
     }
 }
@@ -376,19 +168,28 @@ std::vector<LintFinding>
 Linter::run()
 {
     const int size = static_cast<int>(program_.body.size());
+    std::vector<RuleViolation> violations;
     for (int pc = 0; pc < size; ++pc) {
         const auto idx = static_cast<std::size_t>(pc);
         const Instruction &instr = program_.body[idx];
-        checkCanonical(pc, instr);
-        checkReconv(pc, instr);
-        if (!analysis_.in[idx].reachable) {
+        const AbsState &in = analysis_.in[idx];
+        checkStructure(instr, pc, size, violations);
+        if (!in.reachable) {
+            report(pc, violations);
             add(LintCode::Unreachable, pc,
-                format("%s is unreachable", opcodeName(instr.op).c_str()));
+                strFormat("%s is unreachable", opcodeName(instr.op).c_str()));
             continue;
         }
-        checkUninit(pc, instr, analysis_.in[idx]);
-        if (isa::isMemoryOp(instr.op))
-            checkMemoryBounds(pc, instr, analysis_.in[idx]);
+        checkUninit(instr, in, violations);
+        // A provably-false guard means the access never happens.
+        if (isa::isMemoryOp(instr.op)
+            && guardValue(in, instr) != Bool3::False) {
+            if (auto v = checkSegment(program_, instr,
+                                      memoryAddress(in, instr))) {
+                violations.push_back(std::move(*v));
+            }
+        }
+        report(pc, violations);
     }
     checkFallsOffEnd();
     checkDeadWrites();

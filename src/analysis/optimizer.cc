@@ -46,51 +46,6 @@ namespace
 using isa::Instruction;
 using isa::Opcode;
 
-bool
-readsGuard(const Instruction &instr)
-{
-    return instr.pred != isa::predTrue || instr.predNegate;
-}
-
-bool
-constantOf(const AbsValue &v, Word &out)
-{
-    if (v.kb().isConstant()) {
-        out = v.kb().knownOne;
-        return true;
-    }
-    if (v.si().slo == v.si().shi) {
-        out = static_cast<Word>(v.si().slo);
-        return true;
-    }
-    return false;
-}
-
-/** Block leaders: pc 0, branch targets / reconv points, post-control. */
-std::vector<char>
-blockLeaders(const isa::Program &p)
-{
-    const int size = static_cast<int>(p.body.size());
-    std::vector<char> leader(static_cast<std::size_t>(size), 0);
-    if (size > 0)
-        leader[0] = 1;
-    auto mark = [&](int pc) {
-        if (pc >= 0 && pc < size)
-            leader[static_cast<std::size_t>(pc)] = 1;
-    };
-    for (int pc = 0; pc < size; ++pc) {
-        const Instruction &instr = p.body[static_cast<std::size_t>(pc)];
-        if (instr.op == Opcode::Bra) {
-            mark(instr.imm);
-            mark(instr.reconv);
-            mark(pc + 1);
-        } else if (instr.op == Opcode::Exit) {
-            mark(pc + 1);
-        }
-    }
-    return leader;
-}
-
 /** Canonical `MOV dst, #imm` under @p guard_of. */
 Instruction
 immMov(std::uint8_t dst, int imm, const Instruction &guard_of)
@@ -130,85 +85,6 @@ struct Liveness
     std::vector<std::uint8_t> preds;
 };
 
-Liveness
-deletionLiveness(const isa::Program &orig,
-                 const std::vector<Instruction> &work,
-                 const std::vector<char> &kept, const AnalysisResult &ar)
-{
-    const int size = static_cast<int>(orig.body.size());
-    Liveness live;
-    live.regs.assign(static_cast<std::size_t>(size), 0);
-    live.preds.assign(static_cast<std::size_t>(size), 0);
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int pc = size - 1; pc >= 0; --pc) {
-            const Instruction &shape =
-                orig.body[static_cast<std::size_t>(pc)];
-            std::uint64_t regs = 0;
-            std::uint8_t preds = 0;
-            if (shape.op != Opcode::Exit) {
-                if (pc + 1 < size) {
-                    regs |= live.regs[static_cast<std::size_t>(pc + 1)];
-                    preds |=
-                        live.preds[static_cast<std::size_t>(pc + 1)];
-                }
-                const bool taken_edge =
-                    shape.op == Opcode::Bra && shape.imm >= 0
-                    && shape.imm < size
-                    && (kept[static_cast<std::size_t>(pc)]
-                        || guardValue(
-                               ar.in[static_cast<std::size_t>(pc)],
-                               shape)
-                               != Bool3::False);
-                if (taken_edge) {
-                    regs |=
-                        live.regs[static_cast<std::size_t>(shape.imm)];
-                    preds |=
-                        live.preds[static_cast<std::size_t>(shape.imm)];
-                }
-            }
-            if (kept[static_cast<std::size_t>(pc)]) {
-                const Instruction &instr =
-                    work[static_cast<std::size_t>(pc)];
-                const bool certain = !readsGuard(instr);
-                if (certain && isa::writesRegister(instr.op)
-                    && instr.dst < isa::numRegisters) {
-                    regs &= ~(std::uint64_t(1) << instr.dst);
-                }
-                if (certain && instr.op == Opcode::SetP
-                    && instr.dst < isa::numPredicates) {
-                    preds &= static_cast<std::uint8_t>(
-                        ~(1u << instr.dst));
-                }
-                if (isa::readsSrcA(instr.op)
-                    && instr.srcA < isa::numRegisters)
-                    regs |= std::uint64_t(1) << instr.srcA;
-                if (isa::readsSrcB(instr.op) && !instr.immB
-                    && instr.srcB < isa::numRegisters) {
-                    regs |= std::uint64_t(1) << instr.srcB;
-                }
-                if (isa::readsDst(instr.op)
-                    && instr.dst < isa::numRegisters)
-                    regs |= std::uint64_t(1) << instr.dst;
-                if (readsGuard(instr)
-                    && instr.pred < isa::numPredicates) {
-                    preds |= static_cast<std::uint8_t>(1u
-                                                       << instr.pred);
-                }
-            }
-            const auto idx = static_cast<std::size_t>(pc);
-            if (regs != live.regs[idx] || preds != live.preds[idx]) {
-                live.regs[idx] = regs;
-                live.preds[idx] = preds;
-                changed = true;
-            }
-        }
-    }
-    return live;
-}
-
 /** Live-out of pc under @p live (same edge rule as the fixpoint). */
 std::pair<std::uint64_t, std::uint8_t>
 liveOutOf(const isa::Program &orig, const std::vector<char> &kept,
@@ -232,6 +108,39 @@ liveOutOf(const isa::Program &orig, const std::vector<char> &kept,
         preds |= live.preds[static_cast<std::size_t>(shape.imm)];
     }
     return {regs, preds};
+}
+
+Liveness
+deletionLiveness(const isa::Program &orig,
+                 const std::vector<Instruction> &work,
+                 const std::vector<char> &kept, const AnalysisResult &ar)
+{
+    const int size = static_cast<int>(orig.body.size());
+    Liveness live;
+    live.regs.assign(static_cast<std::size_t>(size), 0);
+    live.preds.assign(static_cast<std::size_t>(size), 0);
+
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (int pc = size - 1; pc >= 0; --pc) {
+            const auto idx = static_cast<std::size_t>(pc);
+            auto [regs, preds] = liveOutOf(orig, kept, ar, live, pc);
+            if (kept[idx]) {
+                const Instruction &instr = work[idx];
+                regs = (regs & ~isa::regKills(instr)) | isa::regUses(instr);
+                preds = static_cast<std::uint8_t>(
+                    (preds & ~isa::predKills(instr))
+                    | isa::predUses(instr));
+            }
+            if (regs != live.regs[idx] || preds != live.preds[idx]) {
+                live.regs[idx] = regs;
+                live.preds[idx] = preds;
+                changed = true;
+            }
+        }
+    }
+    return live;
 }
 
 /** Phase 1: in-place rewrites justified by the original analysis. */
@@ -266,7 +175,7 @@ rewritePass(const isa::Program &orig, const AnalysisResult &ar,
             if (!isa::writesRegister(o.op)
                 || o.dst >= isa::numRegisters)
                 return;
-            if (o.op == Opcode::Mov && !o.immB && !readsGuard(o)
+            if (o.op == Opcode::Mov && !o.immB && !isa::readsGuard(o)
                 && o.srcB < isa::numRegisters && o.dst != o.srcB) {
                 clobber(o.dst);
                 copies[o.dst] = o.srcB;
@@ -283,7 +192,7 @@ rewritePass(const isa::Program &orig, const AnalysisResult &ar,
         const Bool3 guard = guardValue(in, o);
 
         if (o.op == Opcode::Bra) {
-            if (readsGuard(cur) && guard == Bool3::True) {
+            if (isa::readsGuard(cur) && guard == Bool3::True) {
                 cur.pred = isa::predTrue;
                 cur.predNegate = false;
                 ++stats.flattenedBranches;
@@ -514,7 +423,7 @@ deletionPass(const isa::Program &orig, const AnalysisResult &ar,
             };
             const AbsState &in = ar.in[static_cast<std::size_t>(j)];
             const bool straight =
-                !readsGuard(o) || guardValue(in, o) == Bool3::True
+                !isa::readsGuard(o) || guardValue(in, o) == Bool3::True
                 || pos(o.reconv) == pos(j + 1);
             if (pos(o.imm) == pos(j + 1) && straight) {
                 kept[static_cast<std::size_t>(j)] = 0;

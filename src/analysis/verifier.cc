@@ -14,22 +14,22 @@
  *     forward branches and rejoins at the reconvergence point,
  *     proving the per-warp trip bound and the memory footprints.
  *
- * The explorer deliberately re-implements only the *control* shape;
- * every data-path transfer goes through the interpreter's public
- * helpers (guardValue, aluValue, loadValue, memoryAddress, ...), so
- * explorer states are always at least as sharp as fixpoint states and
- * agree with the dynamic pipeline by the interpreter's own soundness
- * tests.
+ * The per-instruction checks of passes 1 and 2 and the segment bounds
+ * of pass 3 are the rules lint reports (rules.hh). The explorer
+ * deliberately re-implements only the *control* shape; every write
+ * goes through the interpreter's own transferWrite, so explorer states
+ * are always at least as sharp as fixpoint states and agree with the
+ * dynamic pipeline by the interpreter's own soundness tests.
  */
 
 #include "analysis/verifier.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 #include <utility>
 
-#include "analysis/interpreter.hh"
+#include "analysis/rules.hh"
+#include "common/logging.hh"
 
 namespace bvf::analysis
 {
@@ -39,58 +39,6 @@ using isa::Opcode;
 
 namespace
 {
-
-std::string
-format(const char *fmt, auto... args)
-{
-    char buf[192];
-    std::snprintf(buf, sizeof buf, fmt, args...);
-    return buf;
-}
-
-/** Is the guard a real predicate-register read (not the PT sentinel)? */
-bool
-readsGuard(const Instruction &instr)
-{
-    return instr.pred != isa::predTrue || instr.predNegate;
-}
-
-std::size_t
-regIndex(std::uint8_t r)
-{
-    return r % isa::numRegisters;
-}
-
-std::size_t
-predIndex(std::uint8_t p)
-{
-    return p % isa::numPredicates;
-}
-
-/** The machine's entry state: zero registers, false predicates. */
-AbsState
-entryState()
-{
-    AbsState s;
-    s.regs.fill(AbsValue::constant(0));
-    s.preds.fill({Bool3::False, Uniformity::Uniform});
-    s.reachable = true;
-    return s;
-}
-
-AbsState
-joinStates(const AbsState &a, const AbsState &b)
-{
-    AbsState out;
-    for (std::size_t i = 0; i < a.regs.size(); ++i)
-        out.regs[i] = join(a.regs[i], b.regs[i]);
-    for (std::size_t p = 0; p < a.preds.size(); ++p)
-        out.preds[p] = join(a.preds[p], b.preds[p]);
-    out.regWritten = a.regWritten & b.regWritten;
-    out.predWritten = a.predWritten & b.predWritten;
-    out.reachable = true;
-    return out;
-}
 
 class Verifier
 {
@@ -104,10 +52,8 @@ class Verifier
 
   private:
     void reject(RejectReason reason, int pc, std::string message);
+    void reject(int pc, std::vector<RuleViolation> &violations);
     void checkLimits();
-    void checkCanonical(int pc, const Instruction &instr);
-    void checkBranchShape(int pc, const Instruction &instr);
-    void checkUninit(int pc, const Instruction &instr, const AbsState &in);
 
     // --- trip-count / footprint exploration ---------------------------
 
@@ -122,8 +68,6 @@ class Verifier
                                       AbsState state, int depth);
     bool checkAccess(int pc, const Instruction &instr,
                      const AbsState &state);
-    void transfer(const Instruction &instr, int pc, Bool3 guard,
-                  AbsState &state);
 
     Verdict finish();
 
@@ -142,24 +86,53 @@ Verifier::reject(RejectReason reason, int pc, std::string message)
     rejections_.push_back({reason, pc, std::move(message)});
 }
 
+/** Reject @p pc once per violated rule (and clear @p violations). */
+void
+Verifier::reject(int pc, std::vector<RuleViolation> &violations)
+{
+    for (RuleViolation &v : violations) {
+        RejectReason reason = RejectReason::MalformedInstruction;
+        switch (v.rule) {
+          case Rule::NonCanonical:
+            reason = RejectReason::MalformedInstruction;
+            break;
+          case Rule::BadBranch:
+            reason = RejectReason::BadBranch;
+            break;
+          case Rule::UninitRegRead:
+          case Rule::UninitPredRead:
+            reason = RejectReason::UninitRead;
+            break;
+          case Rule::SharedOob:
+          case Rule::ConstOob:
+          case Rule::TexOob:
+          case Rule::GlobalOob:
+            reason = RejectReason::MemoryOutOfBounds;
+            break;
+        }
+        reject(reason, pc, std::move(v.message));
+    }
+    violations.clear();
+}
+
 void
 Verifier::checkLimits()
 {
     if (program_.name.size() > options_.maxNameBytes) {
         reject(RejectReason::ResourceLimit, 0,
-               format("kernel name is %zu bytes (limit %u)",
-                      program_.name.size(), options_.maxNameBytes));
+               strFormat("kernel name is %zu bytes (limit %u)",
+                         program_.name.size(), options_.maxNameBytes));
     }
     if (program_.body.size() > options_.maxBodyInstructions) {
         reject(RejectReason::ResourceLimit, 0,
-               format("body has %zu instructions (limit %u)",
-                      program_.body.size(), options_.maxBodyInstructions));
+               strFormat("body has %zu instructions (limit %u)",
+                         program_.body.size(), options_.maxBodyInstructions));
     }
     const auto image = [&](const std::vector<Word> &img, const char *space) {
         if (img.size() > options_.maxImageWords) {
             reject(RejectReason::ResourceLimit, 0,
-                   format("%s image has %zu words (limit %u)", space,
-                          img.size(), options_.maxImageWords));
+                   strFormat("%s image has %zu words (limit %u)", space,
+                             img.size(), options_.maxImageWords));
         }
     };
     image(program_.global, "global");
@@ -167,147 +140,26 @@ Verifier::checkLimits()
     image(program_.texture, "texture");
     if (program_.sharedBytesPerBlock > options_.maxSharedBytes) {
         reject(RejectReason::ResourceLimit, 0,
-               format("shared segment is %u bytes (limit %u)",
-                      program_.sharedBytesPerBlock,
-                      options_.maxSharedBytes));
+               strFormat("shared segment is %u bytes (limit %u)",
+                         program_.sharedBytesPerBlock,
+                         options_.maxSharedBytes));
     }
 
     const isa::LaunchDims &launch = program_.launch;
     if (launch.blockThreads < 1
         || launch.blockThreads > options_.maxBlockThreads) {
         reject(RejectReason::BadLaunch, 0,
-               format("blockThreads=%d outside [1, %d]",
-                      launch.blockThreads, options_.maxBlockThreads));
+               strFormat("blockThreads=%d outside [1, %d]",
+                         launch.blockThreads, options_.maxBlockThreads));
     }
     if (launch.gridBlocks < 1 || launch.gridBlocks > options_.maxGridBlocks) {
         reject(RejectReason::BadLaunch, 0,
-               format("gridBlocks=%d outside [1, %d]", launch.gridBlocks,
-                      options_.maxGridBlocks));
+               strFormat("gridBlocks=%d outside [1, %d]", launch.gridBlocks,
+                         options_.maxGridBlocks));
     }
 
     if (program_.body.empty())
         reject(RejectReason::FallsOffEnd, 0, "empty kernel body");
-}
-
-/** Mirrors lint's NonCanonical rules; rejection, not diagnostic. */
-void
-Verifier::checkCanonical(int pc, const Instruction &instr)
-{
-    const auto bad = [&](std::string message) {
-        reject(RejectReason::MalformedInstruction, pc, std::move(message));
-    };
-    if (static_cast<unsigned>(instr.op)
-        >= static_cast<unsigned>(Opcode::NumOpcodes)) {
-        bad(format("opcode %u unknown", unsigned(instr.op)));
-        return; // classification helpers need a valid opcode
-    }
-
-    const Opcode op = instr.op;
-    const bool writes_reg = isa::writesRegister(op);
-    const bool reads_b = isa::readsSrcB(op);
-
-    if (instr.pred >= isa::numPredicates)
-        bad(format("predicate %d out of range", int(instr.pred)));
-    else if (instr.pred == isa::predTrue && instr.predNegate)
-        bad("guard reads the PT sentinel predicate (p0 with negate)");
-
-    if (op == Opcode::SetP) {
-        if (instr.dst >= isa::numPredicates)
-            bad(format("SetP predicate destination %d out of range",
-                       int(instr.dst)));
-    } else if (writes_reg) {
-        if (instr.dst >= isa::numRegisters)
-            bad(format("destination register %d out of range",
-                       int(instr.dst)));
-    } else if (instr.dst != 0) {
-        bad(format("%s ignores dst but dst=%d", opcodeName(op).c_str(),
-                   int(instr.dst)));
-    }
-
-    if (isa::readsSrcA(op)) {
-        if (instr.srcA >= isa::numRegisters)
-            bad(format("srcA register %d out of range", int(instr.srcA)));
-    } else if (instr.srcA != 0) {
-        bad(format("%s ignores srcA but srcA=%d", opcodeName(op).c_str(),
-                   int(instr.srcA)));
-    }
-
-    if (reads_b && !instr.immB) {
-        if (instr.srcB >= isa::numRegisters)
-            bad(format("srcB register %d out of range", int(instr.srcB)));
-    } else if (instr.srcB != 0) {
-        bad(format("%s ignores srcB but srcB=%d", opcodeName(op).c_str(),
-                   int(instr.srcB)));
-    }
-
-    if (instr.immB && (!reads_b || isa::isMemoryOp(op)))
-        bad(format("%s does not take an immediate srcB",
-                   opcodeName(op).c_str()));
-
-    if (op == Opcode::SetP || op == Opcode::S2R) {
-        if (instr.flags >= 6)
-            bad(format("%s selector flags=%d out of range",
-                       opcodeName(op).c_str(), int(instr.flags)));
-    } else if (instr.flags != 0) {
-        bad(format("%s ignores flags but flags=%d", opcodeName(op).c_str(),
-                   int(instr.flags)));
-    }
-
-    const bool uses_imm =
-        instr.immB || isa::isMemoryOp(op) || op == Opcode::Bra;
-    if (!uses_imm && instr.imm != 0)
-        bad(format("%s ignores imm but imm=%d", opcodeName(op).c_str(),
-                   instr.imm));
-    if (instr.imm < -32768 || instr.imm > 32767)
-        bad(format("imm=%d exceeds the 16-bit encoding", instr.imm));
-
-    if (op != Opcode::Bra && instr.reconv != 0)
-        bad(format("%s ignores reconv but reconv=%d",
-                   opcodeName(op).c_str(), instr.reconv));
-}
-
-void
-Verifier::checkBranchShape(int pc, const Instruction &instr)
-{
-    if (instr.op != Opcode::Bra)
-        return;
-    const int size = static_cast<int>(program_.body.size());
-    const int target = instr.imm;
-    const int reconv = instr.reconv;
-    const bool forward = pc < target && target <= reconv && reconv < size;
-    const bool backward =
-        0 <= target && target <= pc && pc < reconv && reconv < size;
-    if (!forward && !backward) {
-        reject(RejectReason::BadBranch, pc,
-               format("branch target %d / reconv %d malformed "
-                      "(body size %d)",
-                      target, reconv, size));
-    }
-}
-
-void
-Verifier::checkUninit(int pc, const Instruction &instr, const AbsState &in)
-{
-    const auto reg_read = [&](std::uint8_t r, const char *role) {
-        if (r < isa::numRegisters && !((in.regWritten >> r) & 1u)) {
-            reject(RejectReason::UninitRead, pc,
-                   format("r%d read as %s before any write on some path",
-                          int(r), role));
-        }
-    };
-    if (isa::readsSrcA(instr.op))
-        reg_read(instr.srcA, "srcA");
-    if (isa::readsSrcB(instr.op) && !instr.immB)
-        reg_read(instr.srcB, "srcB");
-    if (readsDst(instr.op))
-        reg_read(instr.dst, "accumulator");
-
-    if (readsGuard(instr) && instr.pred < isa::numPredicates
-        && !((in.predWritten >> instr.pred) & 1u)) {
-        reject(RejectReason::UninitRead, pc,
-               format("p%d guards before any SetP on some path",
-                      int(instr.pred)));
-    }
 }
 
 /**
@@ -321,122 +173,29 @@ Verifier::checkAccess(int pc, const Instruction &instr,
                       const AbsState &state)
 {
     const KnownBits addr = memoryAddress(state, instr);
-    const auto oob = [&](std::string message) {
-        reject(RejectReason::MemoryOutOfBounds, pc, std::move(message));
+    if (auto v = checkSegment(program_, instr, addr)) {
+        reject(RejectReason::MemoryOutOfBounds, pc, std::move(v->message));
         return false;
-    };
+    }
     switch (instr.op) {
       case Opcode::Lds:
-      case Opcode::Sts: {
-        const std::uint32_t bytes = program_.sharedBytesPerBlock;
-        if (bytes == 0)
-            return oob("shared access but the block has no shared segment");
-        if (addr.hi >= bytes)
-            return oob(format("shared offset may reach %u of a %u-byte "
-                              "segment",
-                              addr.hi, bytes));
+      case Opcode::Sts:
         cert_.shared.cover(addr.lo, addr.hi);
-        return true;
-      }
+        break;
       case Opcode::Ldc:
-      case Opcode::Ldt: {
-        const bool tex = instr.op == Opcode::Ldt;
-        const auto &image = tex ? program_.texture : program_.constants;
-        const char *space = tex ? "texture" : "constant";
-        const auto bytes = static_cast<std::uint32_t>(image.size() * 4);
-        if (bytes == 0)
-            return oob(format("%s load but the image is empty", space));
-        if (addr.hi >= bytes)
-            return oob(format("%s offset may reach %u of a %u-byte image",
-                              space, addr.hi, bytes));
-        (tex ? cert_.texture : cert_.constant).cover(addr.lo, addr.hi);
-        return true;
-      }
+        cert_.constant.cover(addr.lo, addr.hi);
+        break;
+      case Opcode::Ldt:
+        cert_.texture.cover(addr.lo, addr.hi);
+        break;
       case Opcode::Ldg:
-      case Opcode::Stg: {
-        const auto bytes =
-            static_cast<std::uint32_t>(program_.globalBytes());
-        if (bytes == 0)
-            return oob("global access but the global image is empty");
-        const std::uint32_t base = isa::globalSegmentBase;
-        if (addr.lo < base || addr.hi >= base + bytes) {
-            return oob(format("global address hull [%u, %u] escapes the "
-                              "segment [%u, %u)",
-                              addr.lo, addr.hi, base, base + bytes));
-        }
+      case Opcode::Stg:
         cert_.global.cover(addr.lo, addr.hi);
-        return true;
-      }
+        break;
       default:
-        return true;
+        break;
     }
-}
-
-/**
- * Apply one non-control instruction to @p state, mirroring the
- * interpreter Stepper's write discipline (certain overwrite vs join,
- * lane-affine demotion on partial-mask writes).
- */
-void
-Verifier::transfer(const Instruction &instr, int pc, Bool3 guard,
-                   AbsState &state)
-{
-    if (guard == Bool3::False)
-        return;
-    const bool certain = guard == Bool3::True;
-    const bool wholeWarp =
-        !analysis_->divergentRegion[static_cast<std::size_t>(pc)]
-        && guardUniformity(state, instr) == Uniformity::Uniform;
-
-    if (instr.op == Opcode::SetP) {
-        const auto cmp = static_cast<isa::CmpOp>(instr.flags);
-        Bool3 v = kbCompare(cmp, operandA(state, instr),
-                            operandB(state, instr));
-        if (v == Bool3::Unknown) {
-            const SignedInterval &sa =
-                state.regs[regIndex(instr.srcA)].si();
-            const SignedInterval sb =
-                instr.immB
-                    ? SignedInterval::constant(static_cast<Word>(instr.imm))
-                    : state.regs[regIndex(instr.srcB)].si();
-            v = siCompare(cmp, sa, sb);
-        }
-        const bool lanesAgree =
-            state.regs[regIndex(instr.srcA)].affine().isUniform()
-            && (instr.immB
-                || state.regs[regIndex(instr.srcB)].affine().isUniform());
-        const Uniformity uni = wholeWarp && lanesAgree
-                                   ? Uniformity::Uniform
-                                   : Uniformity::MayDiverge;
-        const std::size_t idx = predIndex(instr.dst);
-        if (certain) {
-            state.preds[idx] = {v, uni};
-            state.predWritten |= static_cast<std::uint8_t>(1u << idx);
-        } else {
-            state.preds[idx].value = join(state.preds[idx].value, v);
-            state.preds[idx].uni = wholeWarp
-                                       ? join(state.preds[idx].uni, uni)
-                                       : Uniformity::MayDiverge;
-        }
-        return;
-    }
-
-    if (isa::isStoreOp(instr.op))
-        return; // footprint handled in checkAccess; no register effect
-
-    if (!isa::writesRegister(instr.op))
-        return;
-
-    AbsValue result = isa::isLoadOp(instr.op)
-                          ? loadValue(instr, state, analysis_->memory)
-                          : aluValue(instr, state, program_.launch);
-    if (!wholeWarp)
-        result.affine() = LaneAffine::top();
-    const std::size_t idx = regIndex(instr.dst);
-    state.regs[idx] =
-        certain ? result : join(state.regs[idx], result);
-    if (certain)
-        state.regWritten |= std::uint64_t(1) << idx;
+    return true;
 }
 
 /**
@@ -462,16 +221,16 @@ Verifier::explore(int pc, int lowPc, int endPc, AbsState state, int depth)
     while (pc != endPc) {
         if (pc <= lowPc || pc > endPc) {
             return fail(RejectReason::IllFormedDivergence, pc,
-                        format("control escapes the divergent region "
-                               "(%d, %d)",
-                               lowPc, endPc));
+                        strFormat("control escapes the divergent region "
+                                  "(%d, %d)",
+                                  lowPc, endPc));
         }
         if (++stepsUsed_ > options_.stepBudget) {
             return fail(RejectReason::BudgetExceeded, pc,
-                        format("abstract step budget (%llu) exhausted; "
-                               "termination not proven",
-                               static_cast<unsigned long long>(
-                                   options_.stepBudget)));
+                        strFormat("abstract step budget (%llu) exhausted; "
+                                  "termination not proven",
+                                  static_cast<unsigned long long>(
+                                      options_.stepBudget)));
         }
         ++r.steps;
         const Instruction &instr =
@@ -504,8 +263,8 @@ Verifier::explore(int pc, int lowPc, int endPc, AbsState state, int depth)
             }
             if (depth >= options_.maxForkDepth) {
                 return fail(RejectReason::IllFormedDivergence, pc,
-                            format("divergence nests deeper than %d",
-                                   options_.maxForkDepth));
+                            strFormat("divergence nests deeper than %d",
+                                      options_.maxForkDepth));
             }
             // Fork: walk both arms up to the reconvergence point. A
             // lane-uniform guard means the warp takes one arm or the
@@ -523,7 +282,7 @@ Verifier::explore(int pc, int lowPc, int endPc, AbsState state, int depth)
                            : taken->steps + fall->steps;
             if (taken->exited && fall->exited) {
                 r.exited = true;
-                r.state = joinStates(taken->state, fall->state);
+                r.state = joinState(taken->state, fall->state);
                 return r;
             }
             if (taken->exited)
@@ -531,7 +290,7 @@ Verifier::explore(int pc, int lowPc, int endPc, AbsState state, int depth)
             else if (fall->exited)
                 r.state = std::move(taken->state);
             else
-                r.state = joinStates(taken->state, fall->state);
+                r.state = joinState(taken->state, fall->state);
             pc = reconv;
             continue;
           }
@@ -544,7 +303,9 @@ Verifier::explore(int pc, int lowPc, int endPc, AbsState state, int depth)
             exploreFailed_ = true;
             return std::nullopt;
         }
-        transfer(instr, pc, guard, r.state);
+        transferWrite(instr,
+                      analysis_->divergentRegion[static_cast<std::size_t>(pc)],
+                      program_.launch, analysis_->memory, r.state);
         ++pc;
     }
     return r;
@@ -557,11 +318,12 @@ Verifier::run()
     // meaningless, so they are skipped entirely.
     checkLimits();
     const int size = static_cast<int>(program_.body.size());
+    std::vector<RuleViolation> violations;
     for (int pc = 0; pc < size; ++pc) {
         const Instruction &instr =
             program_.body[static_cast<std::size_t>(pc)];
-        checkCanonical(pc, instr);
-        checkBranchShape(pc, instr);
+        checkStructure(instr, pc, size, violations);
+        reject(pc, violations);
     }
     if (!rejections_.empty())
         return finish();
@@ -573,7 +335,8 @@ Verifier::run()
         if (!analysis_->in[idx].reachable)
             continue;
         const Instruction &instr = program_.body[idx];
-        checkUninit(pc, instr, analysis_->in[idx]);
+        checkUninit(instr, analysis_->in[idx], violations);
+        reject(pc, violations);
         if (instr.op == Opcode::Bar && analysis_->divergentRegion[idx]) {
             reject(RejectReason::IllFormedDivergence, pc,
                    "barrier may be issued by a partially-masked warp");

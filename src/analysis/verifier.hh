@@ -8,8 +8,9 @@
  * (analysis/interpreter.hh) and admits a program only when it can
  * *prove*, before any SM cycle runs:
  *
- *  - every instruction is canonical (lint NonCanonical rules) and
- *    every branch target / reconvergence point is structurally sound,
+ *  - every instruction is canonical and every branch target /
+ *    reconvergence point is structurally sound (the rules.hh rules
+ *    lint reports as findings),
  *  - every register and predicate guard is written before it is read,
  *  - barriers cannot be issued by a partially-masked warp and
  *    divergence nests shallowly enough to model,

@@ -63,9 +63,7 @@ ContractProbe::onIssue(int smId, int pc, const isa::Instruction &instr,
     for (int lane = 0; lane < gpu::warpSize; ++lane) {
         if (!((guard >> lane) & 1u))
             continue;
-        const std::uint32_t addr =
-            warp.reg(lane, instr.srcA)
-            + static_cast<std::uint32_t>(instr.imm);
+        const std::uint32_t addr = warp.laneAddress(lane, instr);
         ++checkedAccesses_;
         fatal_if(!fp.contains(addr),
                  "verifier contract violated: %s at pc %d touches byte "

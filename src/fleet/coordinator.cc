@@ -392,7 +392,7 @@ Coordinator::routeKeyForFrame(const Frame &frame)
         // field is the abbreviation string.
         ByteReader reader(frame.payload);
         std::string abbr;
-        if (reader.getString(abbr, 64) && !abbr.empty())
+        if (reader.getString(abbr, server::kMaxAbbrBytes) && !abbr.empty())
             return abbr;
         break;
       }

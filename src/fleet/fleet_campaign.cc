@@ -13,9 +13,9 @@
 #include "common/logging.hh"
 #include "core/experiment.hh"
 #include "fault/fault_model.hh"
-#include "gpu/gpu_config.hh"
 #include "runtime/ordered.hh"
 #include "runtime/thread_pool.hh"
+#include "server/handler.hh"
 
 namespace bvf::fleet
 {
@@ -28,23 +28,6 @@ using server::MsgType;
 namespace
 {
 
-const gpu::PState &
-pstateFromIndex(std::uint8_t idx)
-{
-    return idx == 0 ? gpu::pstateNominal()
-           : idx == 1 ? gpu::pstateMid()
-                      : gpu::pstateLow();
-}
-
-gpu::SchedulerPolicy
-schedFromIndex(std::uint8_t idx)
-{
-    static constexpr gpu::SchedulerPolicy policies[] = {
-        gpu::SchedulerPolicy::Gto, gpu::SchedulerPolicy::Lrr,
-        gpu::SchedulerPolicy::TwoLevel};
-    return policies[idx];
-}
-
 /**
  * The exact CampaignOptions a serial `bvf_sim campaign` run of this
  * configuration would build -- the digest depends on every field, so
@@ -54,23 +37,17 @@ campaign::CampaignOptions
 serialEquivalentOptions(const FleetCampaignOptions &o)
 {
     campaign::CampaignOptions copts;
+    copts.pricing =
+        server::pricingFor(o.node, o.pstate, o.cell, o.ecc, o.cellsBitline);
     copts.run.dynamicIsa = o.dynamicIsa;
     copts.run.vsRegisterPivot = static_cast<int>(o.vsPivot);
     copts.run.fault.seed = 1;
     copts.run.fault.readDisturbRate = fault::readDisturbFlipProbability(
-        o.cell, o.node == 0 ? circuit::TechNode::N28
-                            : circuit::TechNode::N40,
-        pstateFromIndex(o.pstate).vdd,
+        o.cell, copts.pricing.node, copts.pricing.pstate.vdd,
         static_cast<int>(o.cellsBitline));
     copts.run.fault.ecc = o.ecc ? fault::EccScheme::Secded72_64
                                 : fault::EccScheme::None;
     copts.run.fault.enabled = copts.run.fault.readDisturbRate > 0.0;
-    copts.pricing.node = o.node == 0 ? circuit::TechNode::N28
-                                     : circuit::TechNode::N40;
-    copts.pricing.pstate = pstateFromIndex(o.pstate);
-    copts.pricing.cellKind = o.cell;
-    copts.pricing.ecc = o.ecc;
-    copts.pricing.cellsPerBitline = static_cast<int>(o.cellsBitline);
     copts.pricing.allowUnreliableCells =
         copts.run.fault.readDisturbRate > 0.0;
     return copts;
@@ -108,10 +85,8 @@ std::uint32_t
 FleetCampaign::configDigest(
     std::span<const workload::AppSpec> apps) const
 {
-    gpu::GpuConfig config = gpu::baselineConfig();
-    config.arch = isa::allGpuArchs()[options_.arch];
-    config.scheduler = schedFromIndex(options_.sched);
-    const core::ExperimentDriver driver(config);
+    const core::ExperimentDriver driver(
+        server::machineFor(options_.arch, options_.sched));
     campaign::CampaignRunner runner(driver,
                                     serialEquivalentOptions(options_));
     return runner.configDigest(apps);

@@ -44,19 +44,14 @@ TagCache::access(std::uint32_t addr)
     for (int w = 0; w < assoc_; ++w) {
         if (base[w].valid && base[w].tag == line) {
             base[w].lruStamp = ++stamp_;
-            ++hits_;
             return CacheOutcome::Hit;
         }
     }
-    ++misses_;
-    auto it = mshrs_.find(line);
-    if (it != mshrs_.end()) {
-        ++it->second;
+    if (mshrs_.count(line) > 0)
         return CacheOutcome::MissMerged;
-    }
     if (numMshrs_ > 0 && static_cast<int>(mshrs_.size()) >= numMshrs_)
         return CacheOutcome::MshrFull;
-    mshrs_.emplace(line, 1);
+    mshrs_.insert(line);
     return CacheOutcome::Miss;
 }
 
@@ -73,7 +68,7 @@ TagCache::probe(std::uint32_t addr) const
     return false;
 }
 
-int
+void
 TagCache::fill(std::uint32_t addr)
 {
     const std::uint32_t line = lineAddr(addr);
@@ -106,14 +101,7 @@ TagCache::fill(std::uint32_t addr)
     victim->valid = true;
     victim->tag = line;
     victim->lruStamp = ++stamp_;
-    ++fills_;
-
-    auto it = mshrs_.find(line);
-    if (it == mshrs_.end())
-        return 0;
-    const int waiters = it->second;
-    mshrs_.erase(it);
-    return waiters;
+    mshrs_.erase(line);
 }
 
 void

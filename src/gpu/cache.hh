@@ -13,7 +13,7 @@
 #define BVF_GPU_CACHE_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/logging.hh"
@@ -64,11 +64,8 @@ class TagCache
     /** Probe without any state change. */
     bool probe(std::uint32_t addr) const;
 
-    /**
-     * Install the line containing @p addr (fill completion). Releases
-     * the MSHR and returns how many requests were waiting on it.
-     */
-    int fill(std::uint32_t addr);
+    /** Install the line containing @p addr (fill completion). */
+    void fill(std::uint32_t addr);
 
     /** Invalidate the line if present (write-evict stores). */
     void invalidate(std::uint32_t addr);
@@ -79,10 +76,6 @@ class TagCache
     std::uint32_t lineBytes() const { return lineBytes_; }
     int sets() const { return sets_; }
     int assoc() const { return assoc_; }
-
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-    std::uint64_t fills() const { return fills_; }
 
   private:
     struct Way
@@ -100,11 +93,8 @@ class TagCache
     int assoc_;
     int numMshrs_;
     std::vector<Way> ways_; //!< sets_ * assoc_ entries
-    std::unordered_map<std::uint32_t, int> mshrs_; //!< line -> waiters
+    std::unordered_set<std::uint32_t> mshrs_; //!< lines with a miss out
     std::uint64_t stamp_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t fills_ = 0;
 };
 
 } // namespace bvf::gpu

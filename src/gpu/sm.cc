@@ -10,14 +10,12 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "isa/semantics.hh"
 
 namespace bvf::gpu
 {
 
 using isa::Instruction;
 using isa::Opcode;
-using isa::SpecialReg;
 using coder::UnitId;
 using sram::AccessType;
 
@@ -110,27 +108,6 @@ Sm::blockOf(int slot)
     const int idx = slotBlock_[static_cast<std::size_t>(slot)];
     panic_if(idx < 0, "slot %d has no block", slot);
     return blocks_[static_cast<std::size_t>(idx)];
-}
-
-Word
-Sm::specialValue(int slot, int lane, SpecialReg sr) const
-{
-    const Warp &warp = warps_[static_cast<std::size_t>(slot)];
-    switch (sr) {
-      case SpecialReg::LaneId:
-        return static_cast<Word>(lane);
-      case SpecialReg::WarpId:
-        return static_cast<Word>(warp.warpIdInBlock());
-      case SpecialReg::TidX:
-        return static_cast<Word>(warp.warpIdInBlock() * warpSize + lane);
-      case SpecialReg::CtaIdX:
-        return static_cast<Word>(warp.blockId());
-      case SpecialReg::NTidX:
-        return static_cast<Word>(program_.launch.blockThreads);
-      case SpecialReg::GridDimX:
-        return static_cast<Word>(program_.launch.gridBlocks);
-    }
-    panic("unknown special register");
 }
 
 // ---------------------------------------------------------------------
@@ -340,19 +317,12 @@ Sm::executeAlu(int slot, const Instruction &instr, std::uint32_t guard,
     switch (instr.op) {
       case Opcode::Bra: {
         ++stats_.controlOps;
-        const std::uint32_t active = warp.activeMask();
-        const int target = instr.imm;
-        if (guard == 0) {
-            warp.advancePc();
-        } else if (guard == active) {
-            warp.setPc(target);
-        } else {
-            panic_if(uniformDispatch_,
-                     "certified-uniform branch diverged at pc %d "
-                     "(verifier soundness bug)",
-                     warp.pc());
-            warp.diverge(guard, target, warp.pc() + 1, instr.reconv);
-        }
+        const int pc = warp.pc();
+        const bool split = warp.branch(instr, guard);
+        panic_if(split && uniformDispatch_,
+                 "certified-uniform branch diverged at pc %d "
+                 "(verifier soundness bug)",
+                 pc);
         return;
       }
       case Opcode::Exit: {
@@ -390,27 +360,7 @@ Sm::executeAlu(int slot, const Instruction &instr, std::uint32_t guard,
     else
         ++stats_.intOps;
 
-    for (int lane = 0; lane < warpSize; ++lane) {
-        if (!((guard >> lane) & 1u))
-            continue;
-        if (instr.op == Opcode::S2R) {
-            warp.setReg(lane, instr.dst,
-                        specialValue(slot, lane,
-                                     static_cast<SpecialReg>(instr.flags)));
-            continue;
-        }
-        const Word a = warp.reg(lane, instr.srcA);
-        const Word b = instr.immB ? static_cast<Word>(instr.imm)
-                                  : warp.reg(lane, instr.srcB);
-        const Word result = isa::evalLane(instr.op, a, b,
-                                          warp.reg(lane, instr.dst),
-                                          instr.flags);
-        if (instr.op == Opcode::SetP) {
-            warp.setPredicate(lane, instr.dst, result != 0);
-            continue;
-        }
-        warp.setReg(lane, instr.dst, result);
-    }
+    warp.executeAlu(instr, guard, program_.launch);
 
     const int latency =
         isa::opcodeLatency(instr.op) + collect.conflictCycles;
@@ -465,9 +415,7 @@ Sm::executeGlobalLoad(int slot, const Instruction &instr,
     for (int lane = 0; lane < warpSize; ++lane) {
         if (!((guard >> lane) & 1u))
             continue;
-        const std::uint32_t a =
-            warp.reg(lane, instr.srcA)
-            + static_cast<std::uint32_t>(instr.imm);
+        const std::uint32_t a = warp.laneAddress(lane, instr);
         addr[static_cast<std::size_t>(lane)] = a;
         const std::uint32_t line = l1d_.lineAddr(a);
         if (std::find(lines.begin(), lines.end(), line) == lines.end())
@@ -597,9 +545,7 @@ Sm::executeGlobalStore(int slot, const Instruction &instr,
     for (int lane = 0; lane < warpSize; ++lane) {
         if (!((guard >> lane) & 1u))
             continue;
-        const std::uint32_t a =
-            warp.reg(lane, instr.srcA)
-            + static_cast<std::uint32_t>(instr.imm);
+        const std::uint32_t a = warp.laneAddress(lane, instr);
         addr[static_cast<std::size_t>(lane)] = a;
         const std::uint32_t line = l1d_.lineAddr(a);
         if (std::find(lines.begin(), lines.end(), line) == lines.end())
@@ -642,23 +588,17 @@ Sm::executeShared(int slot, const Instruction &instr, std::uint32_t guard,
     // Bank-conflict model: 32 banks, word-interleaved.
     std::array<int, 32> bank_load{};
     std::vector<Word> words;
-    const std::size_t shared_words = block.shared.size();
     for (int lane = 0; lane < warpSize; ++lane) {
         if (!((guard >> lane) & 1u))
             continue;
-        const std::uint32_t a =
-            warp.reg(lane, instr.srcA)
-            + static_cast<std::uint32_t>(instr.imm);
-        const std::size_t idx =
-            shared_words ? (a / 4) % shared_words : 0;
-        ++bank_load[idx % 32];
+        const std::uint32_t a = warp.laneAddress(lane, instr);
+        ++bank_load[isa::sharedIndex(a, block.shared.size()) % 32];
         if (is_store) {
             const Word v = warp.reg(lane, instr.srcB);
-            if (shared_words)
-                block.shared[idx] = v;
+            isa::writeShared(block.shared, a, v);
             words.push_back(v);
         } else {
-            const Word v = shared_words ? block.shared[idx] : 0;
+            const Word v = isa::readShared(block.shared, a);
             warp.setReg(lane, instr.dst, v);
             words.push_back(v);
         }
@@ -706,11 +646,8 @@ Sm::executeConstOrTex(int slot, const Instruction &instr,
     for (int lane = 0; lane < warpSize; ++lane) {
         if (!((guard >> lane) & 1u))
             continue;
-        std::uint32_t a = warp.reg(lane, instr.srcA)
-                          + static_cast<std::uint32_t>(instr.imm);
-        if (!image.empty())
-            a %= static_cast<std::uint32_t>(image.size() * 4);
-        a &= ~3u;
+        const std::uint32_t a =
+            isa::imageAddress(warp.laneAddress(lane, instr), image.size());
         addr[static_cast<std::size_t>(lane)] = a;
         if (std::find(unique_words.begin(), unique_words.end(), a)
             == unique_words.end()) {
@@ -720,11 +657,6 @@ Sm::executeConstOrTex(int slot, const Instruction &instr,
         if (std::find(lines.begin(), lines.end(), line) == lines.end())
             lines.push_back(line);
     }
-
-    auto word_at = [&image](std::uint32_t a) {
-        const std::size_t idx = a / 4;
-        return idx < image.size() ? image[idx] : Word(0);
-    };
 
     // Constant/texture misses resolve locally, so a full MSHR file just
     // costs miss latency here instead of stalling the issue slot.
@@ -742,14 +674,15 @@ Sm::executeConstOrTex(int slot, const Instruction &instr,
     // Account the read words.
     std::vector<Word> words;
     for (std::uint32_t a : unique_words)
-        words.push_back(word_at(a));
+        words.push_back(isa::imageWord(image, a));
     sink_.onAccess(unit, AccessType::Read, words, fullMask, cycle);
 
     // Deliver values functionally now; latency via the scoreboard.
     for (int lane = 0; lane < warpSize; ++lane) {
         if (((guard >> lane) & 1u)) {
             warp.setReg(lane, instr.dst,
-                        word_at(addr[static_cast<std::size_t>(lane)]));
+                        isa::imageWord(
+                            image, addr[static_cast<std::size_t>(lane)]));
         }
     }
     accountRegWrite(warp, instr.dst, guard, cycle);
@@ -789,10 +722,8 @@ Sm::checkLocalFills(std::uint64_t cycle)
         // Account the fill write with the line's words.
         std::vector<Word> words;
         const std::uint32_t line_bytes = cache.lineBytes();
-        for (std::uint32_t off = 0; off < line_bytes; off += 4) {
-            const std::size_t idx = (it->lineAddr + off) / 4;
-            words.push_back(idx < image.size() ? image[idx] : Word(0));
-        }
+        for (std::uint32_t off = 0; off < line_bytes; off += 4)
+            words.push_back(isa::imageWord(image, it->lineAddr + off));
         sink_.onAccess(it->isTexture ? UnitId::L1T : UnitId::L1C,
                        AccessType::Write, words, fullMask, cycle);
         it = localFills_.erase(it);

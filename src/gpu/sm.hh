@@ -231,8 +231,6 @@ class Sm
     void accountRegWrite(const Warp &warp, int reg, std::uint32_t guard,
                          std::uint64_t cycle);
 
-    Word specialValue(int slot, int lane, isa::SpecialReg sr) const;
-
     ResidentBlock &blockOf(int slot);
 
     int smId_;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Warp execution state: per-lane registers, predicates, SIMT
- * reconvergence stack and scoreboard.
+ * Warp execution state in the SM: the functional warp (isa/machine.hh)
+ * plus the scoreboard and scheduling state the timing model adds.
  */
 
 #ifndef BVF_GPU_WARP_HH
@@ -9,109 +9,21 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
-#include "common/bitops.hh"
-#include "isa/instruction.hh"
+#include "isa/machine.hh"
 
 namespace bvf::gpu
 {
 
-/** Lanes per warp. */
-constexpr int warpSize = 32;
-
-/** Full active mask. */
-constexpr std::uint32_t fullMask = 0xffffffffu;
-
-/** One SIMT stack entry. */
-struct SimtEntry
-{
-    int pc = 0;                 //!< next instruction index
-    std::uint32_t mask = fullMask; //!< lanes active in this entry
-    int rpc = -1;               //!< reconvergence pc (-1 = none)
-};
+using isa::fullMask;
+using isa::warpSize;
 
 /** Per-warp architectural and micro-architectural state. */
-class Warp
+class Warp : public isa::WarpState
 {
   public:
-    Warp() = default;
-
-    /**
-     * Initialize for execution.
-     *
-     * @param warpIdInBlock warp index within its thread block
-     * @param blockId block index within the grid
-     * @param blockThreads threads per block (to mask the tail warp)
-     */
+    /** Initialize for execution (see isa::WarpState::init). */
     void init(int warpIdInBlock, int blockId, int blockThreads);
-
-    bool done() const { return done_; }
-    void setDone() { done_ = true; }
-
-    /** Current pc (top of SIMT stack). */
-    int pc() const { return stack_.back().pc; }
-
-    /** Current active mask. */
-    std::uint32_t activeMask() const { return stack_.back().mask; }
-
-    /** Advance the top-of-stack pc (sequential flow). */
-    void advancePc() { ++stack_.back().pc; }
-
-    /** Set the top-of-stack pc (uniform branch). */
-    void setPc(int pc) { stack_.back().pc = pc; }
-
-    /**
-     * Handle a divergent branch: @p takenMask lanes jump to @p target,
-     * the rest fall through to @p fallthrough; all reconverge at
-     * @p reconv.
-     */
-    void diverge(std::uint32_t takenMask, int target, int fallthrough,
-                 int reconv);
-
-    /** Pop reconverged entries; call before each fetch. */
-    void reconvergeIfNeeded();
-
-    /** SIMT stack depth (for tests). */
-    std::size_t stackDepth() const { return stack_.size(); }
-
-    // --- register state ----------------------------------------------
-
-    /** Value of register @p reg in lane @p lane. */
-    Word
-    reg(int lane, int r) const
-    {
-        return regs_[static_cast<std::size_t>(r * warpSize + lane)];
-    }
-
-    void
-    setReg(int lane, int r, Word value)
-    {
-        regs_[static_cast<std::size_t>(r * warpSize + lane)] = value;
-    }
-
-    /** Whole-warp view of register @p r (32 consecutive words). */
-    std::span<const Word>
-    regBlock(int r) const
-    {
-        return {&regs_[static_cast<std::size_t>(r * warpSize)],
-                static_cast<std::size_t>(warpSize)};
-    }
-
-    bool
-    predicate(int lane, int p) const
-    {
-        return preds_[static_cast<std::size_t>(p * warpSize + lane)];
-    }
-
-    void
-    setPredicate(int lane, int p, bool v)
-    {
-        preds_[static_cast<std::size_t>(p * warpSize + lane)] = v;
-    }
-
-    /** Guard mask: lanes in @p active passing the instruction's guard. */
-    std::uint32_t guardMask(const isa::Instruction &instr) const;
 
     // --- scoreboard ----------------------------------------------------
 
@@ -149,22 +61,7 @@ class Warp
     /** Last cycle this warp issued (GTO greedy state). */
     std::uint64_t lastIssueCycle = 0;
 
-    int warpIdInBlock() const { return warpIdInBlock_; }
-    int blockId() const { return blockId_; }
-
-    /** Lanes that exist (partial tail warps of odd-sized blocks). */
-    std::uint32_t existMask() const { return existMask_; }
-
   private:
-    int warpIdInBlock_ = 0;
-    int blockId_ = 0;
-    bool done_ = false;
-    std::uint32_t existMask_ = fullMask;
-    std::vector<SimtEntry> stack_;
-    std::array<Word, static_cast<std::size_t>(isa::numRegisters) * warpSize>
-        regs_{};
-    std::array<bool, static_cast<std::size_t>(isa::numPredicates) * warpSize>
-        preds_{};
     std::array<std::uint64_t, isa::numRegisters> regReady_{};
     std::array<std::uint64_t, isa::numPredicates> predReady_{};
 };

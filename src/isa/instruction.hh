@@ -58,6 +58,29 @@ struct Instruction
     std::string toString() const;
 };
 
+/** Does the guard read a predicate register (not the PT sentinel)? */
+constexpr bool
+readsGuard(const Instruction &instr)
+{
+    return instr.pred != predTrue || instr.predNegate;
+}
+
+// Operand def/use as register/predicate bit sets, for the liveness
+// passes. Out-of-range operand numbers (possible only in non-canonical
+// programs) contribute no bit.
+
+/** Registers read: srcA, a register srcB, the FFMA/IMAD accumulator. */
+std::uint64_t regUses(const Instruction &instr);
+
+/** Predicate read by the guard. */
+std::uint8_t predUses(const Instruction &instr);
+
+/** Register an unpredicated write certainly overwrites. */
+std::uint64_t regKills(const Instruction &instr);
+
+/** Predicate an unpredicated SetP certainly overwrites. */
+std::uint8_t predKills(const Instruction &instr);
+
 } // namespace bvf::isa
 
 #endif // BVF_ISA_INSTRUCTION_HH

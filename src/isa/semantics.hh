@@ -2,15 +2,28 @@
  * @file
  * The one definition of BVFK per-lane ALU semantics.
  *
- * The cycle-level SM (gpu/sm.cc) and the reference interpreter the
- * translation validator runs (analysis/equiv.cc) both compute every
- * data-path result through evalLane, and the abstract-transfer
- * soundness tests check their transfer functions against it, so the
- * simulator, the validator's oracle and the analysis agree on what an
- * opcode means by construction.
+ * Each piece of BVFK meaning is defined once:
  *
- * S2R and the register/predicate writes stay with each caller: S2R
- * reads machine state (lane, warp and block ids) rather than operands.
+ *  - per-lane ALU results: evalLane, here;
+ *  - the functional warp (registers, predicates, guard mask, S2R
+ *    values, SIMT divergence and reconvergence, the per-lane register
+ *    and predicate write) and the memory-space address rules (global
+ *    out-of-range, shared wrap, constant/texture modulo-and-align):
+ *    isa/machine.hh;
+ *  - operand def/use (guard read, register/predicate uses and certain
+ *    kills): isa/instruction.hh;
+ *  - the static instruction rules lint reports and admission enforces
+ *    (canonical form, branch shape, def-before-use, segment bounds):
+ *    analysis/rules.hh;
+ *  - the abstract register/predicate write: analysis::transferWrite.
+ *
+ * The cycle-level SM (gpu/sm.cc) and the reference interpreter the
+ * translation validator runs (analysis/equiv.cc) both execute on
+ * isa::WarpState, which computes every data-path result through
+ * evalLane, and the abstract-transfer soundness tests check their
+ * transfer functions against evalLane, so the simulator, the
+ * validator's oracle and the analysis agree on what an opcode means by
+ * construction.
  *
  * fp32 NaN propagation is pinned here rather than left to the compiler.
  * x86 SSE returns the first source operand's NaN when both operands

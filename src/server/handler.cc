@@ -27,34 +27,6 @@ namespace bvf::server
 namespace
 {
 
-isa::GpuArch
-archFromIndex(std::uint8_t idx)
-{
-    return isa::allGpuArchs()[idx];
-}
-
-gpu::SchedulerPolicy
-schedFromIndex(std::uint8_t idx)
-{
-    static constexpr gpu::SchedulerPolicy policies[] = {
-        gpu::SchedulerPolicy::Gto, gpu::SchedulerPolicy::Lrr,
-        gpu::SchedulerPolicy::TwoLevel};
-    return policies[idx];
-}
-
-/**
- * Resolve an AppQuery into a configured machine. fatal() from an
- * unknown abbreviation is trapped by the caller.
- */
-gpu::GpuConfig
-configFor(const AppQuery &q)
-{
-    gpu::GpuConfig config = gpu::baselineConfig();
-    config.arch = archFromIndex(q.arch);
-    config.scheduler = schedFromIndex(q.sched);
-    return config;
-}
-
 core::RunOptions
 runOptionsFor(const AppQuery &q)
 {
@@ -83,6 +55,33 @@ guarded(Fn &&body)
 }
 
 } // namespace
+
+gpu::GpuConfig
+machineFor(std::uint8_t arch, std::uint8_t sched)
+{
+    static constexpr gpu::SchedulerPolicy policies[] = {
+        gpu::SchedulerPolicy::Gto, gpu::SchedulerPolicy::Lrr,
+        gpu::SchedulerPolicy::TwoLevel};
+    gpu::GpuConfig config = gpu::baselineConfig();
+    config.arch = isa::allGpuArchs()[arch];
+    config.scheduler = policies[sched];
+    return config;
+}
+
+core::Pricing
+pricingFor(std::uint8_t node, std::uint8_t pstate, circuit::CellKind cell,
+           bool ecc, std::uint32_t cellsBitline)
+{
+    core::Pricing pricing;
+    pricing.node = node == 0 ? circuit::TechNode::N28 : circuit::TechNode::N40;
+    pricing.pstate = pstate == 0   ? gpu::pstateNominal()
+                     : pstate == 1 ? gpu::pstateMid()
+                                   : gpu::pstateLow();
+    pricing.cellKind = cell;
+    pricing.ecc = ecc;
+    pricing.cellsPerBitline = static_cast<int>(cellsBitline);
+    return pricing;
+}
 
 Frame
 errorFrame(const Error &error)
@@ -126,7 +125,7 @@ RequestHandler::handleEvalCoder(const Frame &request) const
         if (req.coder == CoderKind::Isa) {
             const Word64 mask =
                 req.isaMask ? req.isaMask
-                            : isa::paperIsaMask(archFromIndex(req.arch));
+                            : isa::paperIsaMask(isa::allGpuArchs()[req.arch]);
             const coder::IsaCoder isaCoder(mask);
             isaCoder.encodeSpan(resp.encoded);
         } else if (req.coder != CoderKind::Identity) {
@@ -171,7 +170,7 @@ RequestHandler::handleBitDensity(const Frame &request) const
 
     return guarded([&] {
         const workload::AppSpec &spec = workload::findApp(q.abbr);
-        const core::ExperimentDriver driver(configFor(q));
+        const core::ExperimentDriver driver(machineFor(q.arch, q.sched));
         const auto run = driver.runAppChecked(spec, runOptionsFor(q));
         if (!run.ok())
             return errorFrame(run.error());
@@ -228,21 +227,16 @@ RequestHandler::handleChipEnergy(const Frame &request) const
 
     return guarded([&] {
         const workload::AppSpec &spec = workload::findApp(req.query.abbr);
-        const core::ExperimentDriver driver(configFor(req.query));
+        const core::ExperimentDriver driver(
+            machineFor(req.query.arch, req.query.sched));
         const auto run =
             driver.runAppChecked(spec, runOptionsFor(req.query));
         if (!run.ok())
             return errorFrame(run.error());
 
-        core::Pricing pricing;
-        pricing.node = req.node == 0 ? circuit::TechNode::N28
-                                     : circuit::TechNode::N40;
-        pricing.pstate = req.pstate == 0   ? gpu::pstateNominal()
-                         : req.pstate == 1 ? gpu::pstateMid()
-                                           : gpu::pstateLow();
-        pricing.cellKind = static_cast<circuit::CellKind>(req.cell);
-        pricing.ecc = req.ecc != 0;
-        pricing.cellsPerBitline = static_cast<int>(req.cellsBitline);
+        const core::Pricing pricing = pricingFor(
+            req.node, req.pstate, static_cast<circuit::CellKind>(req.cell),
+            req.ecc != 0, req.cellsBitline);
 
         const core::AppEnergy energy =
             driver.evaluate(run.value(), pricing);
@@ -274,7 +268,7 @@ RequestHandler::handleStaticQuery(const Frame &request) const
 
     return guarded([&] {
         const workload::AppSpec &spec = workload::findApp(q.abbr);
-        const gpu::GpuConfig config = configFor(q);
+        const gpu::GpuConfig config = machineFor(q.arch, q.sched);
         const isa::Program program = workload::buildProgram(spec);
 
         Word64 isaMask = 0;
@@ -327,7 +321,7 @@ RequestHandler::handleStaticAdvice(const Frame &request) const
 
     return guarded([&] {
         const workload::AppSpec &spec = workload::findApp(q.abbr);
-        const gpu::GpuConfig config = configFor(q);
+        const gpu::GpuConfig config = machineFor(q.arch, q.sched);
         const isa::Program program = workload::buildProgram(spec);
 
         analysis::AdvisorOptions opts;
@@ -438,10 +432,8 @@ RequestHandler::handleEvalSubmitted(const Frame &request) const
     }
 
     return guarded([&] {
-        gpu::GpuConfig config = gpu::baselineConfig();
-        config.arch = archFromIndex(req.arch);
-        config.scheduler = schedFromIndex(req.sched);
-        const core::ExperimentDriver driver(config);
+        const core::ExperimentDriver driver(
+            machineFor(req.arch, req.sched));
 
         // The certificate is enforced while the kernel runs: the probe
         // fatal()s -- trapped by guarded() -- on any trip-count or
@@ -461,15 +453,9 @@ RequestHandler::handleEvalSubmitted(const Frame &request) const
         if (!run.ok())
             return errorFrame(run.error());
 
-        core::Pricing pricing;
-        pricing.node = req.node == 0 ? circuit::TechNode::N28
-                                     : circuit::TechNode::N40;
-        pricing.pstate = req.pstate == 0   ? gpu::pstateNominal()
-                         : req.pstate == 1 ? gpu::pstateMid()
-                                           : gpu::pstateLow();
-        pricing.cellKind = static_cast<circuit::CellKind>(req.cell);
-        pricing.ecc = req.ecc != 0;
-        pricing.cellsPerBitline = static_cast<int>(req.cellsBitline);
+        const core::Pricing pricing = pricingFor(
+            req.node, req.pstate, static_cast<circuit::CellKind>(req.cell),
+            req.ecc != 0, req.cellsBitline);
 
         const core::AppEnergy energy =
             driver.evaluate(run.value(), pricing);

@@ -187,7 +187,7 @@ putAppQuery(ByteWriter &w, const AppQuery &q)
 bool
 getAppQuery(ByteReader &r, AppQuery &q)
 {
-    return r.getString(q.abbr, 64) && r.getU8(q.arch)
+    return r.getString(q.abbr, kMaxString) && r.getU8(q.arch)
            && r.getU8(q.sched) && r.getU32(q.vsPivot)
            && r.getU8(q.dynamicIsa);
 }
@@ -198,6 +198,12 @@ validateAppQuery(const AppQuery &q)
     if (q.abbr.empty()) {
         return Error{ErrorCode::InvalidArgument,
                      "empty application abbreviation"};
+    }
+    if (q.abbr.size() > kMaxAbbrBytes) {
+        return Error{ErrorCode::InvalidArgument,
+                     strFormat("application abbreviation is %zu bytes "
+                               "(limit %u)",
+                               q.abbr.size(), kMaxAbbrBytes)};
     }
     if (q.arch > 3) {
         return Error{ErrorCode::InvalidArgument,

@@ -153,6 +153,13 @@ struct EvalCoderResponse
     static Result<EvalCoderResponse> decode(std::string_view payload);
 };
 
+/**
+ * Longest application abbreviation a request may name. Longer names
+ * decode (the wire carries strings up to 4096 bytes) and are then
+ * refused as InvalidArgument, the request's own fault.
+ */
+constexpr std::uint32_t kMaxAbbrBytes = 64;
+
 /** App-keyed request core shared by density/energy/static queries. */
 struct AppQuery
 {

@@ -708,6 +708,33 @@ TEST(Coordinator, ConvictsABadJobOnTwoWorkers)
     w1.kill();
 }
 
+TEST(Coordinator, LongAppNameIsAJobVerdictNotAWorkerStrike)
+{
+    LiveWorker w0, w1;
+    Coordinator coord(fleetOver({w0.address(), w1.address()}));
+
+    // A well-framed request whose app name is longer than any app: the
+    // workers must refuse the job, not look like damaged wires.
+    server::ChipEnergyRequest req;
+    req.query.abbr = std::string(100, 'A');
+    const Frame frame{MsgType::ChipEnergyRequest, req.encode()};
+    ExecuteInfo info;
+    auto reply =
+        coord.execute(frame, Coordinator::routeKeyForFrame(frame), &info);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_EQ(reply.value().type, MsgType::ErrorResponse);
+    const auto verdict = server::WireError::decode(reply.value().payload);
+    ASSERT_TRUE(verdict.ok());
+    EXPECT_EQ(verdict.value().code,
+              static_cast<std::uint8_t>(ErrorCode::InvalidArgument));
+    EXPECT_EQ(info.transportFailures, 0);
+    EXPECT_EQ(coord.stats().failovers, 0u);
+    EXPECT_EQ(coord.workerState(0), WorkerState::Alive);
+    EXPECT_EQ(coord.workerState(1), WorkerState::Alive);
+    w0.kill();
+    w1.kill();
+}
+
 TEST(Coordinator, HeartbeatKillsAndRevivesOverUnixSocket)
 {
     TempDir dir;

@@ -229,6 +229,26 @@ TEST(Messages, DecodeValidatesRanges)
     EXPECT_FALSE(StaticQueryRequest::decode(stat.encode()).ok());
 }
 
+TEST(Messages, LongAppNameIsInvalidNotTruncated)
+{
+    // The wire carries strings up to 4096 bytes, so a well-framed
+    // request naming a long app must decode far enough to be refused
+    // as the request's own fault -- a Truncated verdict would read as
+    // wire damage and blame the worker that answered it.
+    ChipEnergyRequest req;
+    req.query.abbr = std::string(100, 'A');
+    const auto decoded = ChipEnergyRequest::decode(req.encode());
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().code, ErrorCode::InvalidArgument);
+
+    req.query.abbr = std::string(kMaxAbbrBytes, 'A');
+    EXPECT_TRUE(ChipEnergyRequest::decode(req.encode()).ok());
+    req.query.abbr += 'A';
+    const auto over = ChipEnergyRequest::decode(req.encode());
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.error().code, ErrorCode::InvalidArgument);
+}
+
 TEST(Messages, StaticAdviceRoundTrip)
 {
     StaticAdviceRequest req;

@@ -12,6 +12,7 @@
 
 #include <string>
 
+#include "analysis/lint.hh"
 #include "analysis/verifier.hh"
 #include "common/rng.hh"
 #include "common/logging.hh"
@@ -286,6 +287,70 @@ TEST(Verifier, ResourceCapsAreEnforced)
     EXPECT_TRUE(
         rejectedFor(verdict, analysis::RejectReason::ResourceLimit))
         << describe(verdict);
+}
+
+TEST(Verifier, RejectsExactlyTheRuleFindingsLintReports)
+{
+    // Lint and admission share one rule set: on arbitrary field values,
+    // every non-canonical / bad-reconv finding is a malformed-instruction
+    // / bad-branch rejection at the same pc with the same text, and the
+    // other way round. A structurally clean program goes on to
+    // def-before-use, where every uninit-* finding is an uninit-read.
+    Rng rng(0x1a7);
+    const auto field = [&rng](std::uint64_t canonical) {
+        if (rng.nextBool(0.6))
+            return std::uint8_t{0};
+        return static_cast<std::uint8_t>(
+            rng.nextBounded(rng.nextBool(0.2) ? 70 : canonical));
+    };
+    int clean = 0;
+    for (int k = 0; k < 1000; ++k) {
+        isa::Program p;
+        p.name = "fields";
+        const int len = static_cast<int>(rng.nextRange(1, 8));
+        for (int i = 0; i < len; ++i) {
+            isa::Instruction in;
+            in.op = static_cast<isa::Opcode>(rng.nextBounded(
+                static_cast<std::uint64_t>(isa::Opcode::NumOpcodes)));
+            in.dst = field(4);
+            in.srcA = field(4);
+            in.srcB = field(4);
+            in.pred = field(2);
+            in.predNegate = rng.nextBool(0.1);
+            in.immB = rng.nextBool(0.2);
+            in.flags = field(2);
+            if (in.op == isa::Opcode::Bra || rng.nextBool(0.2)) {
+                in.imm = static_cast<int>(rng.nextRange(-1, len));
+                in.reconv = static_cast<int>(rng.nextRange(0, len));
+            }
+            p.body.push_back(in);
+        }
+
+        using analysis::LintCode;
+        using analysis::RejectReason;
+        const analysis::Verdict verdict = analysis::verifyProgram(p);
+        std::vector<std::string> rejected;
+        bool structural = false;
+        for (const auto &r : verdict.rejections) {
+            structural |= r.reason == RejectReason::MalformedInstruction
+                          || r.reason == RejectReason::BadBranch;
+            if (r.reason == RejectReason::MalformedInstruction
+                || r.reason == RejectReason::BadBranch
+                || r.reason == RejectReason::UninitRead)
+                rejected.push_back(std::to_string(r.pc) + ": " + r.message);
+        }
+        clean += !structural;
+        std::vector<std::string> linted;
+        for (const auto &f : analysis::lintProgram(p)) {
+            const bool uninit = f.code == LintCode::UninitRegRead
+                                || f.code == LintCode::UninitPredRead;
+            if (f.code == LintCode::NonCanonical
+                || f.code == LintCode::BadReconv || (uninit && !structural))
+                linted.push_back(std::to_string(f.pc) + ": " + f.message);
+        }
+        EXPECT_EQ(linted, rejected) << "program " << k;
+    }
+    EXPECT_GE(clean, 50);
 }
 
 TEST(Verifier, RejectionNamesAreStableAndKebabCase)
