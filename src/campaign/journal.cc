@@ -22,53 +22,20 @@ constexpr std::uint32_t journalVersion = 1;
 /** Upper bound on a record payload a reader will allocate. */
 constexpr std::uint32_t maxRecordBytes = 1u << 20;
 
-std::string
-serializeRecord(const AppResult &r)
+/** One record payload, both ways (common/bytes.hh layouts). */
+template <typename Io>
+void
+layout(Io &io, AppResult &r)
 {
-    ByteWriter payload;
-    payload.putU8(static_cast<std::uint8_t>(r.status));
-    payload.putU32(r.attempts);
-    payload.putU8(static_cast<std::uint8_t>(r.error.code));
-    payload.putU64(r.cycles);
-    payload.putU64(r.instructions);
-    for (const double v : r.chipEnergy)
-        payload.putF64(v);
-    for (const double v : r.bvfUnitsEnergy)
-        payload.putF64(v);
-    payload.putString(r.name);
-    payload.putString(r.abbr);
-    payload.putString(r.error.message);
-    return payload.take();
-}
-
-bool
-parseRecord(std::string_view payload, AppResult &out)
-{
-    ByteReader reader(payload);
-    std::uint8_t status = 0, code = 0;
-    if (!reader.getU8(status) || !reader.getU32(out.attempts)
-        || !reader.getU8(code) || !reader.getU64(out.cycles)
-        || !reader.getU64(out.instructions)) {
-        return false;
-    }
-    if (status > static_cast<std::uint8_t>(AppStatus::Quarantined))
-        return false;
-    out.status = static_cast<AppStatus>(status);
-    out.error.code = static_cast<ErrorCode>(code);
-    for (double &v : out.chipEnergy) {
-        if (!reader.getF64(v))
-            return false;
-    }
-    for (double &v : out.bvfUnitsEnergy) {
-        if (!reader.getF64(v))
-            return false;
-    }
-    if (!reader.getString(out.name, maxRecordBytes)
-        || !reader.getString(out.abbr, maxRecordBytes)
-        || !reader.getString(out.error.message, maxRecordBytes)) {
-        return false;
-    }
-    return reader.exhausted();
+    io(r.status, r.attempts);
+    io.u8(r.error.code);
+    io(r.cycles, r.instructions);
+    io.check(r.status <= AppStatus::Quarantined, ErrorCode::Corrupt,
+             "unknown app status");
+    io(r.chipEnergy, r.bvfUnitsEnergy);
+    io.str(r.name, maxRecordBytes);
+    io.str(r.abbr, maxRecordBytes);
+    io.str(r.error.message, maxRecordBytes);
 }
 
 } // namespace
@@ -94,7 +61,9 @@ serializeJournal(std::uint32_t configCrc,
     out.putU32(journalVersion);
     out.putU32(configCrc);
     for (const AppResult &r : results) {
-        const std::string payload = serializeRecord(r);
+        LayoutWriter record;
+        layout(record, const_cast<AppResult &>(r));
+        const std::string payload = record.take();
         out.putBytes(recordMagic);
         out.putU32(static_cast<std::uint32_t>(payload.size()));
         out.putU32(crc32(payload.data(), payload.size()));
@@ -162,7 +131,10 @@ parseJournal(std::string_view bytes, std::uint32_t expectConfigCrc)
                                      load.results.size()));
         }
         AppResult r;
-        if (!parseRecord(payload, r)) {
+        LayoutReader record(payload);
+        layout(record, r);
+        record.end();
+        if (!record.ok()) {
             return salvage(strFormat("record %zu payload is malformed",
                                      load.results.size()));
         }

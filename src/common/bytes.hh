@@ -13,6 +13,10 @@
  * against the bytes actually present, so no decoder sizes an
  * allocation from a count the input cannot back.
  *
+ * LayoutWriter and LayoutReader run one field layout, written once per
+ * record, in either direction (see "two-way field layouts" below); the
+ * bvfd messages and the campaign journal records are defined that way.
+ *
  * The header also holds the 16-byte CRC frame that BVFK bytecode and
  * bvfd messages share:
  *
@@ -43,9 +47,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "common/crc32.hh"
 #include "common/logging.hh"
+#include "common/result.hh"
 
 namespace bvf
 {
@@ -75,6 +81,18 @@ class ByteWriter
         buf_.append(s);
     }
 
+    /** Any unsigned integer, little-endian, at its own width. */
+    template <typename T>
+    void
+    putLe(T v)
+    {
+        static_assert(std::is_unsigned_v<T>);
+        char le[sizeof(T)];
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            le[i] = static_cast<char>(v >> (8 * i));
+        buf_.append(le, sizeof(T));
+    }
+
     void reserve(std::size_t bytes) { buf_.reserve(bytes); }
     void clear() { buf_.clear(); }
     std::size_t size() const { return buf_.size(); }
@@ -83,16 +101,6 @@ class ByteWriter
     std::string take() { return std::move(buf_); }
 
   private:
-    template <typename T>
-    void
-    putLe(T v)
-    {
-        char le[sizeof(T)];
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            le[i] = static_cast<char>(v >> (8 * i));
-        buf_.append(le, sizeof(T));
-    }
-
     std::string buf_;
 };
 
@@ -179,11 +187,12 @@ class ByteReader
 
     std::size_t remaining() const { return bytes_.size() - pos_; }
 
-  private:
+    /** Any unsigned integer, little-endian, at its own width. */
     template <typename T>
     bool
     getLe(T &v)
     {
+        static_assert(std::is_unsigned_v<T>);
         if (remaining() < sizeof(T))
             return false;
         T x = 0;
@@ -196,8 +205,251 @@ class ByteReader
         return true;
     }
 
+  private:
     std::string_view bytes_;
     std::size_t pos_ = 0;
+};
+
+// --- two-way field layouts ---------------------------------------------
+//
+// A format writes each record's layout once, as a function template
+// over the direction:
+//
+//   template <typename Io>
+//   void
+//   layout(Io &io, Record &r)
+//   {
+//       io(r.id, r.energy);                 // fixed-width, in order
+//       io.str(r.name, kMaxName);           // u32 length + bytes
+//       io.check(r.id != 0, ErrorCode::InvalidArgument, "id %u", r.id);
+//   }
+//
+// LayoutWriter walks it to encode and LayoutReader to decode, so each
+// field, its width, its cap and its order appear once. The record is
+// taken by non-const reference so one function serves both ways; the
+// writer only reads through it. A field's width is its C++ type's:
+// u8/u16/u32/u64, double as its IEEE-754 bits, an enum as its
+// underlying type, a std::array element by element; u8() narrows any
+// integer or enum to one byte. A string's cap holds in both
+// directions: the writer panics above it, the reader refuses it.
+//
+// The reader keeps its first failure and turns every later step into
+// a no-op, so a layout needs no early returns. check() is a validation
+// rule: it runs only on the read side and only while the read is
+// clean, at the point of the layout where it is written.
+
+/** Encoding side of a field layout. */
+class LayoutWriter
+{
+  public:
+    template <typename... T>
+    void
+    operator()(const T &...fields)
+    {
+        (put(fields), ...);
+    }
+
+    template <typename T>
+    void
+    u8(const T &v)
+    {
+        w_.putU8(static_cast<std::uint8_t>(v));
+    }
+
+    void str(const std::string &s, std::uint32_t cap) { w_.putString(s, cap); }
+
+    /** A vector's u32 element count; items() then writes the elements. */
+    template <typename Vec>
+    std::uint32_t
+    count(const Vec &v)
+    {
+        const auto n = static_cast<std::uint32_t>(v.size());
+        w_.putU32(n);
+        return n;
+    }
+
+    template <typename Vec, typename Each>
+    void
+    items(Vec &v, std::uint32_t, std::size_t, Each &&each)
+    {
+        for (auto &e : v)
+            each(e);
+    }
+
+    /** Optional trailing group: written iff @p present is nonzero. */
+    bool tail(std::uint8_t present) const { return present != 0; }
+
+    void end() const {}
+
+    template <typename... A>
+    void
+    check(bool, ErrorCode, const char *, const A &...) const
+    {
+    }
+
+    void check(const Result<void> &) const {}
+
+    std::string take() { return w_.take(); }
+
+  private:
+    template <typename T>
+    void
+    put(const T &v)
+    {
+        if constexpr (std::is_enum_v<T>) {
+            put(static_cast<std::underlying_type_t<T>>(v));
+        } else if constexpr (std::is_same_v<T, double>) {
+            w_.putF64(v);
+        } else if constexpr (std::is_integral_v<T>) {
+            w_.putLe(v);
+        } else {
+            for (const auto &e : v)
+                put(e);
+        }
+    }
+
+    ByteWriter w_;
+};
+
+/**
+ * Decoding side of a field layout. A get past the end fails Truncated
+ * ("payload ends mid-field"), as does a string over its cap or a
+ * vector count the remaining bytes cannot back; end() refuses
+ * trailing bytes as Corrupt.
+ */
+class LayoutReader
+{
+  public:
+    explicit LayoutReader(std::string_view bytes) : in_(bytes) {}
+
+    template <typename... T>
+    void
+    operator()(T &...fields)
+    {
+        (get(fields), ...);
+    }
+
+    template <typename T>
+    void
+    u8(T &v)
+    {
+        std::uint8_t raw = 0;
+        get(raw);
+        v = static_cast<T>(raw);
+    }
+
+    void
+    str(std::string &s, std::uint32_t cap)
+    {
+        if (ok() && !in_.getString(s, cap))
+            truncated();
+    }
+
+    template <typename Vec>
+    std::uint32_t
+    count(Vec &)
+    {
+        std::uint32_t n = 0;
+        get(n);
+        return n;
+    }
+
+    /**
+     * @p n elements of at least @p minBytes each, read by @p each. The
+     * count is checked against the bytes left before anything is
+     * allocated for it.
+     */
+    template <typename Vec, typename Each>
+    void
+    items(Vec &v, std::uint32_t n, std::size_t minBytes, Each &&each)
+    {
+        if (!ok())
+            return;
+        if (!in_.count(n, minBytes))
+            return truncated();
+        v.resize(n);
+        for (auto &e : v) {
+            if (!ok())
+                return;
+            each(e);
+        }
+    }
+
+    /** Optional trailing group: present iff bytes remain (sets @p present). */
+    bool
+    tail(std::uint8_t &present)
+    {
+        if (!ok() || in_.exhausted())
+            return false;
+        present = 1;
+        return true;
+    }
+
+    void
+    end()
+    {
+        if (ok() && !in_.exhausted())
+            fail(Error{ErrorCode::Corrupt, "payload has trailing bytes"});
+    }
+
+    /** Fail with @p code and the printf-style message unless @p good. */
+    template <typename... A>
+    void
+    check(bool good, ErrorCode code, const char *fmt, const A &...args)
+    {
+        if (good || !ok())
+            return;
+        if constexpr (sizeof...(A) == 0)
+            fail(Error{code, fmt});
+        else
+            fail(Error{code, strFormat(fmt, args...)});
+    }
+
+    void
+    check(const Result<void> &rule)
+    {
+        if (!rule.ok())
+            fail(rule.error());
+    }
+
+    bool ok() const { return !error_; }
+    const Error &error() const { return *error_; }
+
+  private:
+    template <typename T>
+    void
+    get(T &v)
+    {
+        if (!ok())
+            return;
+        bool got = true;
+        if constexpr (std::is_enum_v<T>) {
+            std::underlying_type_t<T> raw{};
+            get(raw);
+            v = static_cast<T>(raw);
+        } else if constexpr (std::is_same_v<T, double>) {
+            got = in_.getF64(v);
+        } else if constexpr (std::is_integral_v<T>) {
+            got = in_.getLe(v);
+        } else {
+            for (auto &e : v)
+                get(e);
+        }
+        if (!got)
+            truncated();
+    }
+
+    void truncated() { fail(Error{ErrorCode::Truncated, "payload ends mid-field"}); }
+
+    void
+    fail(Error e)
+    {
+        if (ok())
+            error_ = std::move(e);
+    }
+
+    ByteReader in_;
+    std::optional<Error> error_;
 };
 
 // --- the shared 16-byte CRC frame -------------------------------------

@@ -8,10 +8,8 @@
 #include <optional>
 #include <set>
 
-#include "common/bytes.hh"
 #include "common/crc32.hh"
 #include "common/logging.hh"
-#include "server/kernel_store.hh"
 
 namespace bvf::fleet
 {
@@ -54,7 +52,9 @@ appErrorCode(const Frame &frame)
  * Corrupt/Truncated/Unsupported when the *request stream* failed CRC
  * or framing on its side -- which means the bytes were damaged en
  * route, not that the job is bad. Treating it as the job's verdict
- * would quarantine a perfectly good job because a wire hiccuped.
+ * would quarantine a perfectly good job because a wire hiccuped. A
+ * well-framed request the worker refuses never carries these codes
+ * (RequestHandler reports it as InvalidArgument).
  */
 bool
 isFramingError(ErrorCode code)
@@ -383,43 +383,8 @@ Coordinator::stats() const
 std::string
 Coordinator::routeKeyForFrame(const Frame &frame)
 {
-    switch (frame.type) {
-      case MsgType::BitDensityRequest:
-      case MsgType::ChipEnergyRequest:
-      case MsgType::StaticQueryRequest:
-      case MsgType::StaticAdviceRequest: {
-        // All four start their payload with AppQuery, whose first
-        // field is the abbreviation string.
-        ByteReader reader(frame.payload);
-        std::string abbr;
-        if (reader.getString(abbr, server::kMaxAbbrBytes) && !abbr.empty())
-            return abbr;
-        break;
-      }
-      case MsgType::SubmitKernelRequest: {
-        // Route by the kernel's content digest so the later
-        // EvalSubmitted for the same kernel shards to the worker
-        // whose store holds it.
-        ByteReader reader(frame.payload);
-        std::string bytecode;
-        if (reader.getString(bytecode, server::kMaxPayload)
-            && !bytecode.empty())
-            return server::kernelDigest(bytecode);
-        break;
-      }
-      case MsgType::EvalSubmittedRequest: {
-        // Payload starts with the digest string: same key as the
-        // submit that stored the kernel.
-        ByteReader reader(frame.payload);
-        std::string digest;
-        if (reader.getString(digest, server::kMaxDigestBytes)
-            && !digest.empty())
-            return digest;
-        break;
-      }
-      default:
-        break;
-    }
+    if (auto key = server::requestRouteKey(frame))
+        return std::move(*key);
     return strFormat("payload:%08x",
                      crc32(frame.payload.data(), frame.payload.size()));
 }

@@ -193,10 +193,11 @@ class Coordinator
     }
 
     /**
-     * Route key for @p frame: the application abbreviation for
-     * app-keyed requests (density/energy/static), else a digest of the
-     * payload. Keying by abbr pins each app to one worker, which keeps
-     * shard journals disjoint under normal operation.
+     * Route key for @p frame: the request's own key
+     * (server::requestRouteKey -- the app abbreviation, or a kernel's
+     * digest), else a digest of the payload. Keying by abbr pins each
+     * app to one worker, which keeps shard journals disjoint under
+     * normal operation.
      */
     static std::string routeKeyForFrame(const server::Frame &frame);
 

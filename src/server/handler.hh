@@ -11,7 +11,10 @@
  * Failures never escape as exceptions: a malformed payload, an unknown
  * application or a pricing rejection comes back as an ErrorResponse
  * frame, so one bad request cannot take down the connection, let alone
- * the daemon.
+ * the daemon. The frame's CRC was checked before the handler sees it,
+ * so such an error is the request's own verdict: it never carries a
+ * framing code (Corrupt, Truncated, Unsupported), which the fleet reads
+ * as wire damage.
  */
 
 #ifndef BVF_SERVER_HANDLER_HH
@@ -58,14 +61,23 @@ class RequestHandler
     const KernelStore &kernelStore() const { return *kernels_; }
 
   private:
-    Frame handlePing(const Frame &request) const;
-    Frame handleEvalCoder(const Frame &request) const;
-    Frame handleBitDensity(const Frame &request) const;
-    Frame handleChipEnergy(const Frame &request) const;
-    Frame handleStaticQuery(const Frame &request) const;
-    Frame handleStaticAdvice(const Frame &request) const;
-    Frame handleSubmitKernel(const Frame &request) const;
-    Frame handleEvalSubmitted(const Frame &request) const;
+    /**
+     * The one request path: decode @p request as Req, run it with
+     * fatal() trapped and frame the response as @p responseType.
+     */
+    template <typename Req>
+    Frame serve(const Frame &request, MsgType responseType) const;
+
+    // What each request computes, given its decoded payload.
+    Result<Ping> run(const Ping &req) const;
+    Result<EvalCoderResponse> run(const EvalCoderRequest &req) const;
+    Result<BitDensityResponse> run(const BitDensityRequest &req) const;
+    Result<ChipEnergyResponse> run(const ChipEnergyRequest &req) const;
+    Result<StaticQueryResponse> run(const StaticQueryRequest &req) const;
+    Result<StaticAdviceResponse> run(const StaticAdviceRequest &req) const;
+    Result<SubmitKernelResponse> run(const SubmitKernelRequest &req) const;
+    Result<EvalSubmittedResponse>
+    run(const EvalSubmittedRequest &req) const;
 
     /**
      * Shared (not a value) so RequestHandler stays copyable -- copies

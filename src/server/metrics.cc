@@ -5,6 +5,8 @@
 
 #include "server/metrics.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace bvf::server
@@ -64,67 +66,29 @@ LatencyHistogram::quantile(double q) const
     return bucketEdge(kBuckets - 1);
 }
 
-int
-Metrics::typeSlot(MsgType type)
-{
-    switch (type) {
-      case MsgType::PingRequest:
-      case MsgType::PingResponse:
-        return 0;
-      case MsgType::EvalCoderRequest:
-      case MsgType::EvalCoderResponse:
-        return 1;
-      case MsgType::BitDensityRequest:
-      case MsgType::BitDensityResponse:
-        return 2;
-      case MsgType::ChipEnergyRequest:
-      case MsgType::ChipEnergyResponse:
-        return 3;
-      case MsgType::StaticQueryRequest:
-      case MsgType::StaticQueryResponse:
-        return 4;
-      case MsgType::StaticAdviceRequest:
-      case MsgType::StaticAdviceResponse:
-        return 5;
-      case MsgType::SubmitKernelRequest:
-      case MsgType::SubmitKernelResponse:
-        return 6;
-      case MsgType::EvalSubmittedRequest:
-      case MsgType::EvalSubmittedResponse:
-        return 7;
-      case MsgType::ErrorResponse:
-        return 8;
-    }
-    return 8;
-}
-
 void
 Metrics::onRequest(MsgType type)
 {
-    requests_[static_cast<std::size_t>(typeSlot(type))].fetch_add(
-        1, std::memory_order_relaxed);
+    requests_[msgRow(type)].fetch_add(1, std::memory_order_relaxed);
 }
 
 void
 Metrics::onResponse(MsgType type, std::chrono::nanoseconds latency)
 {
-    responses_[static_cast<std::size_t>(typeSlot(type))].fetch_add(
-        1, std::memory_order_relaxed);
+    responses_[msgRow(type)].fetch_add(1, std::memory_order_relaxed);
     latency_.record(latency);
 }
 
 void
 Metrics::onError(MsgType requestType)
 {
-    errors_[static_cast<std::size_t>(typeSlot(requestType))].fetch_add(
-        1, std::memory_order_relaxed);
+    errors_[msgRow(requestType)].fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t
 Metrics::errors(MsgType requestType) const
 {
-    return errors_[static_cast<std::size_t>(typeSlot(requestType))].load(
-        std::memory_order_relaxed);
+    return errors_[msgRow(requestType)].load(std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -166,31 +130,22 @@ std::string
 Metrics::render(std::size_t queueDepth, int workers,
                 double utilization) const
 {
-    static const char *slotNames[kTypeSlots] = {
-        "ping", "eval_coder", "bit_density", "chip_energy",
-        "static_query", "static_advice", "submit_kernel",
-        "eval_submitted", "error",
-    };
     std::string out;
     out += "# bvfd metrics\n";
-    for (int i = 0; i < kTypeSlots; ++i) {
-        out += strFormat(
-            "bvfd_requests_total{type=\"%s\"} %llu\n", slotNames[i],
-            static_cast<unsigned long long>(
-                requests_[static_cast<std::size_t>(i)].load()));
-    }
-    for (int i = 0; i < kTypeSlots; ++i) {
-        out += strFormat(
-            "bvfd_responses_total{type=\"%s\"} %llu\n", slotNames[i],
-            static_cast<unsigned long long>(
-                responses_[static_cast<std::size_t>(i)].load()));
-    }
-    for (int i = 0; i < kTypeSlots; ++i) {
-        out += strFormat(
-            "bvfd_request_errors_total{type=\"%s\"} %llu\n", slotNames[i],
-            static_cast<unsigned long long>(
-                errors_[static_cast<std::size_t>(i)].load()));
-    }
+    const auto family = [&](const char *metric, const Counters &counters) {
+        for (std::size_t i = 0; i < kMsgRows; ++i) {
+            // The label is the message table's family name, snake_case.
+            std::string label(msgRowName(i));
+            std::replace(label.begin(), label.end(), '-', '_');
+            out += strFormat("bvfd_%s{type=\"%s\"} %llu\n", metric,
+                             label.c_str(),
+                             static_cast<unsigned long long>(
+                                 counters[i].load()));
+        }
+    };
+    family("requests_total", requests_);
+    family("responses_total", responses_);
+    family("request_errors_total", errors_);
     out += strFormat("bvfd_protocol_errors_total %llu\n",
                      static_cast<unsigned long long>(
                          protocolErrors_.load()));

@@ -15,13 +15,20 @@
  *                bytes above + payload   4 bytes
  *   payload length bytes
  *
- * Payloads are written with ByteWriter and read with ByteReader: all
- * integers little-endian; doubles are IEEE-754 bit patterns in a
- * u64, so energies survive the wire bit-identically. The CRC makes a
- * torn or corrupted stream detectable before any request is executed;
- * a length above kMaxPayload is rejected without buffering (a 4 GB
- * length field must not allocate 4 GB); an unknown version is refused
- * as Unsupported so old clients fail loudly against new daemons.
+ * Each message is defined once: its struct below, its row in the
+ * message table (kMessages: names, known types, metrics slots, the
+ * daemon's dispatch) and one field layout in protocol.cc that both
+ * encode() and decode() run (common/bytes.hh LayoutWriter and
+ * LayoutReader). All integers are little-endian; doubles are IEEE-754
+ * bit patterns in a u64, so energies survive the wire bit-identically;
+ * every string and vector has one cap, the same in both directions.
+ * The CRC makes a torn or corrupted stream detectable before any
+ * request is executed; a length above kMaxPayload is rejected without
+ * buffering (a 4 GB length field must not allocate 4 GB); an unknown
+ * version is refused as Unsupported so old clients fail loudly against
+ * new daemons. Those framing codes (Corrupt, Truncated, Unsupported)
+ * mean wire damage; a well-framed request whose payload is refused
+ * gets InvalidArgument (RequestHandler), the job's own verdict.
  *
  * Requests are answered *in order* per connection: a client may write a
  * whole batch of requests back to back and read the same number of
@@ -34,8 +41,10 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "coder/scenario.hh"
@@ -102,17 +111,39 @@ Result<Frame> parseFrame(std::string_view bytes, std::size_t &consumed);
 
 // --- Messages ---------------------------------------------------------
 
+/**
+ * encode()/decode() of message @p M. Both run the message's one field
+ * layout (protocol.cc): encode() writes it, decode() reads it back and
+ * applies its validation rules at the points the layout places them.
+ * decode() refuses a payload that ends mid-field (Truncated), carries
+ * trailing bytes or breaks a structural rule (Corrupt), or names a
+ * value the request may not ask for (InvalidArgument).
+ */
+template <typename M>
+struct WireCodec
+{
+    std::string encode() const;
+    static Result<M> decode(std::string_view payload);
+};
+
 /** Number of per-scenario slots every response table carries. */
 constexpr std::size_t kScenarioSlots =
     static_cast<std::size_t>(coder::numScenarios);
 
+/**
+ * Field caps, each one used by encode() (which panics above it) and by
+ * decode() (which refuses it): every string (app names, digests,
+ * messages), kernel bytecode, a coder word vector and a per-unit table.
+ */
+constexpr std::uint32_t kMaxString = 4096;
+constexpr std::uint32_t kMaxBlob = kMaxPayload - 64;
+constexpr std::uint32_t kMaxWords = kMaxPayload / 8 - 16;
+constexpr std::uint32_t kMaxUnits = 64;
+
 /** Ping: echo test and liveness probe. */
-struct Ping
+struct Ping : WireCodec<Ping>
 {
     std::uint64_t nonce = 0;
-
-    std::string encode() const;
-    static Result<Ping> decode(std::string_view payload);
 };
 
 /** Which coder an EvalCoder request exercises. */
@@ -129,34 +160,28 @@ enum class CoderKind : std::uint8_t
  * coders (identity/nv/vs) treat each as two little-endian 32-bit words,
  * the ISA coder consumes them whole.
  */
-struct EvalCoderRequest
+struct EvalCoderRequest : WireCodec<EvalCoderRequest>
 {
     CoderKind coder = CoderKind::Identity;
     std::uint8_t arch = 3;    //!< isa::GpuArch index (isa coder)
     std::uint32_t vsPivot = 0; //!< VS pivot lane (vs coder)
     std::uint64_t isaMask = 0; //!< 0 = Table 2 mask of arch
     std::vector<std::uint64_t> words;
-
-    std::string encode() const;
-    static Result<EvalCoderRequest> decode(std::string_view payload);
 };
 
 /** Bit statistics before/after encoding, plus the encoded words. */
-struct EvalCoderResponse
+struct EvalCoderResponse : WireCodec<EvalCoderResponse>
 {
     std::uint64_t totalBits = 0;
     std::uint64_t onesBefore = 0;
     std::uint64_t onesAfter = 0;
     std::vector<std::uint64_t> encoded;
-
-    std::string encode() const;
-    static Result<EvalCoderResponse> decode(std::string_view payload);
 };
 
 /**
  * Longest application abbreviation a request may name. Longer names
- * decode (the wire carries strings up to 4096 bytes) and are then
- * refused as InvalidArgument, the request's own fault.
+ * decode (the wire carries strings up to kMaxString bytes) and are
+ * then refused as InvalidArgument, the request's own fault.
  */
 constexpr std::uint32_t kMaxAbbrBytes = 64;
 
@@ -171,15 +196,12 @@ struct AppQuery
 };
 
 /** Simulate an app; report per-unit encoded bit-1 density. */
-struct BitDensityRequest
+struct BitDensityRequest : WireCodec<BitDensityRequest>
 {
     AppQuery query;
-
-    std::string encode() const;
-    static Result<BitDensityRequest> decode(std::string_view payload);
 };
 
-struct BitDensityResponse
+struct BitDensityResponse : WireCodec<BitDensityResponse>
 {
     struct Unit
     {
@@ -191,13 +213,10 @@ struct BitDensityResponse
     std::uint64_t instructions = 0;
     std::vector<Unit> units;
     std::array<double, kScenarioSlots> nocDensity{};
-
-    std::string encode() const;
-    static Result<BitDensityResponse> decode(std::string_view payload);
 };
 
 /** Simulate an app and price it: per-scenario chip energy. */
-struct ChipEnergyRequest
+struct ChipEnergyRequest : WireCodec<ChipEnergyRequest>
 {
     AppQuery query;
     std::uint8_t node = 0;   //!< 0 = 28nm, 1 = 40nm
@@ -205,32 +224,23 @@ struct ChipEnergyRequest
     std::uint8_t cell = 0;   //!< circuit::CellKind index
     std::uint8_t ecc = 0;
     std::uint32_t cellsBitline = 128;
-
-    std::string encode() const;
-    static Result<ChipEnergyRequest> decode(std::string_view payload);
 };
 
-struct ChipEnergyResponse
+struct ChipEnergyResponse : WireCodec<ChipEnergyResponse>
 {
     std::uint64_t cycles = 0;
     std::uint64_t instructions = 0;
     std::array<double, kScenarioSlots> chipEnergy{};
     std::array<double, kScenarioSlots> bvfUnitsEnergy{};
-
-    std::string encode() const;
-    static Result<ChipEnergyResponse> decode(std::string_view payload);
 };
 
 /** Static predictor query: proven density bounds, no simulation. */
-struct StaticQueryRequest
+struct StaticQueryRequest : WireCodec<StaticQueryRequest>
 {
     AppQuery query;
-
-    std::string encode() const;
-    static Result<StaticQueryRequest> decode(std::string_view payload);
 };
 
-struct StaticQueryResponse
+struct StaticQueryResponse : WireCodec<StaticQueryResponse>
 {
     struct Bound
     {
@@ -247,9 +257,6 @@ struct StaticQueryResponse
     std::uint8_t bestStatic = 0; //!< coder::Scenario index
     std::vector<Unit> units;
     std::array<Bound, kScenarioSlots> noc{};
-
-    std::string encode() const;
-    static Result<StaticQueryResponse> decode(std::string_view payload);
 };
 
 /**
@@ -258,15 +265,12 @@ struct StaticQueryResponse
  * lane-aware analysis, without simulating. Only abbr and arch of the
  * query matter; pivot/mask are outputs here, not inputs.
  */
-struct StaticAdviceRequest
+struct StaticAdviceRequest : WireCodec<StaticAdviceRequest>
 {
     AppQuery query;
-
-    std::string encode() const;
-    static Result<StaticAdviceRequest> decode(std::string_view payload);
 };
 
-struct StaticAdviceResponse
+struct StaticAdviceResponse : WireCodec<StaticAdviceResponse>
 {
     using Bound = StaticQueryResponse::Bound;
 
@@ -296,12 +300,13 @@ struct StaticAdviceResponse
 
     std::uint8_t bestScenario = 0; //!< coder::Scenario index
     std::vector<UnitPick> unitPicks;
-
-    std::string encode() const;
-    static Result<StaticAdviceResponse> decode(std::string_view payload);
 };
 
-/** Caps for the kernel-submission messages. */
+/**
+ * Caps for the kernel-submission messages. A request digest longer
+ * than kMaxDigestBytes decodes (up to kMaxString) and is refused as
+ * InvalidArgument, like a long app name.
+ */
 constexpr std::uint32_t kMaxDigestBytes = 64;
 constexpr std::uint32_t kMaxWireRejections = 256;
 
@@ -314,7 +319,7 @@ constexpr std::uint32_t kMaxWireRejections = 256;
  * reasons; only undecodable bytecode or a full kernel store comes back
  * as an ErrorResponse.
  */
-struct SubmitKernelRequest
+struct SubmitKernelRequest : WireCodec<SubmitKernelRequest>
 {
     std::string bytecode;
 
@@ -326,12 +331,9 @@ struct SubmitKernelRequest
      * compatible in both directions.
      */
     std::uint8_t optimize = 0;
-
-    std::string encode() const;
-    static Result<SubmitKernelRequest> decode(std::string_view payload);
 };
 
-struct SubmitKernelResponse
+struct SubmitKernelResponse : WireCodec<SubmitKernelResponse>
 {
     struct WireRejection
     {
@@ -361,13 +363,10 @@ struct SubmitKernelResponse
     std::uint8_t optimizeRequested = 0;
     std::uint8_t optimized = 0;
     std::string optimizedDigest;
-
-    std::string encode() const;
-    static Result<SubmitKernelResponse> decode(std::string_view payload);
 };
 
 /** Simulate and price a previously admitted kernel by digest. */
-struct EvalSubmittedRequest
+struct EvalSubmittedRequest : WireCodec<EvalSubmittedRequest>
 {
     std::string digest;
     std::uint8_t arch = 3;     //!< isa::GpuArch index
@@ -379,12 +378,9 @@ struct EvalSubmittedRequest
     std::uint8_t cell = 0;     //!< circuit::CellKind index
     std::uint8_t ecc = 0;
     std::uint32_t cellsBitline = 128;
-
-    std::string encode() const;
-    static Result<EvalSubmittedRequest> decode(std::string_view payload);
 };
 
-struct EvalSubmittedResponse
+struct EvalSubmittedResponse : WireCodec<EvalSubmittedResponse>
 {
     std::uint64_t cycles = 0;
     std::uint64_t instructions = 0;
@@ -395,20 +391,88 @@ struct EvalSubmittedResponse
 
     std::array<double, kScenarioSlots> chipEnergy{};
     std::array<double, kScenarioSlots> bvfUnitsEnergy{};
-
-    std::string encode() const;
-    static Result<EvalSubmittedResponse> decode(std::string_view payload);
 };
 
 /** Structured failure for one request. */
-struct WireError
+struct WireError : WireCodec<WireError>
 {
     std::uint8_t code = 0; //!< ErrorCode index
     std::string message;
-
-    std::string encode() const;
-    static Result<WireError> decode(std::string_view payload);
 };
+
+// --- The message table --------------------------------------------------
+
+/**
+ * One row of the message table: a request type, the response type it
+ * is answered with and the structs carrying their payloads. The error
+ * row has no request (Request = void).
+ */
+template <typename Req, typename Resp>
+struct MsgRow
+{
+    using Request = Req;
+    using Response = Resp;
+
+    const char *name; //!< "eval-coder": type names and metrics label
+    MsgType request;
+    MsgType response;
+};
+
+/**
+ * Every message, once. Names, known types, the metrics slots (a row's
+ * index) and the daemon's request dispatch all come from here.
+ */
+inline constexpr std::tuple kMessages{
+    MsgRow<Ping, Ping>{"ping", MsgType::PingRequest, MsgType::PingResponse},
+    MsgRow<EvalCoderRequest, EvalCoderResponse>{
+        "eval-coder", MsgType::EvalCoderRequest,
+        MsgType::EvalCoderResponse},
+    MsgRow<BitDensityRequest, BitDensityResponse>{
+        "bit-density", MsgType::BitDensityRequest,
+        MsgType::BitDensityResponse},
+    MsgRow<ChipEnergyRequest, ChipEnergyResponse>{
+        "chip-energy", MsgType::ChipEnergyRequest,
+        MsgType::ChipEnergyResponse},
+    MsgRow<StaticQueryRequest, StaticQueryResponse>{
+        "static-query", MsgType::StaticQueryRequest,
+        MsgType::StaticQueryResponse},
+    MsgRow<StaticAdviceRequest, StaticAdviceResponse>{
+        "static-advice", MsgType::StaticAdviceRequest,
+        MsgType::StaticAdviceResponse},
+    MsgRow<SubmitKernelRequest, SubmitKernelResponse>{
+        "submit-kernel", MsgType::SubmitKernelRequest,
+        MsgType::SubmitKernelResponse},
+    MsgRow<EvalSubmittedRequest, EvalSubmittedResponse>{
+        "eval-submitted", MsgType::EvalSubmittedRequest,
+        MsgType::EvalSubmittedResponse},
+    MsgRow<void, WireError>{"error", MsgType::ErrorResponse,
+                            MsgType::ErrorResponse},
+};
+
+/** Number of rows in the message table. */
+constexpr std::size_t kMsgRows = std::tuple_size_v<decltype(kMessages)>;
+
+/** Call @p fn(row) for every row of the message table, in order. */
+template <typename Fn>
+constexpr void
+forEachMsg(Fn &&fn)
+{
+    std::apply([&](const auto &...row) { (fn(row), ...); }, kMessages);
+}
+
+/** Table row of @p type; the error row for an unknown type. */
+std::size_t msgRow(MsgType type);
+
+/** Family name of table row @p row, e.g. "eval-coder". */
+std::string_view msgRowName(std::size_t row);
+
+/**
+ * The key a fleet shards @p frame by: the app abbreviation of an
+ * app-keyed request, the content digest of a submitted kernel (its
+ * kernelDigest) or the digest an EvalSubmitted names. Nothing for
+ * other types or a payload that does not decode.
+ */
+std::optional<std::string> requestRouteKey(const Frame &frame);
 
 } // namespace bvf::server
 

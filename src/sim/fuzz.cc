@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "analysis/equiv.hh"
 #include "analysis/optimizer.hh"
@@ -166,9 +167,51 @@ goodTraceBytes()
     return out.str();
 }
 
+/**
+ * A payload of type @p type that decodes must re-encode without a
+ * panic, and the re-encoding must decode and re-encode to the same
+ * bytes: encoder and decoder agree on every field and cap.
+ */
+Result<void>
+checkReencode(server::MsgType type, std::string_view payload)
+{
+    bool agree = true;
+    const auto check = [&]<typename M>(std::type_identity<M>) {
+        const auto decoded = M::decode(payload);
+        if (!decoded.ok())
+            return;
+        const std::string once = decoded.value().encode();
+        const auto again = M::decode(once);
+        agree = again.ok() && again.value().encode() == once;
+    };
+    server::forEachMsg([&]<typename Req, typename Resp>(
+                           const server::MsgRow<Req, Resp> &row) {
+        if constexpr (!std::is_void_v<Req>) {
+            if (row.request == type)
+                check(std::type_identity<Req>{});
+        }
+        if (row.response == type)
+            check(std::type_identity<Resp>{});
+    });
+    if (!agree) {
+        return Error{ErrorCode::Failed,
+                     fail("payload re-encoding does not round-trip")};
+    }
+    return {};
+}
+
 Result<void>
 checkFrame(const std::string &bytes)
 {
+    // The payload decoders see the bytes behind the header too, CRC or
+    // not, so mutations reach them and not only parseFrame.
+    if (bytes.size() >= server::kHeaderBytes) {
+        auto reencoded = checkReencode(
+            static_cast<server::MsgType>(bytes[5]),
+            std::string_view(bytes).substr(server::kHeaderBytes));
+        if (!reencoded.ok())
+            return reencoded;
+    }
     std::string_view rest = bytes;
     for (int i = 0; i < 1000 && !rest.empty(); ++i) {
         std::size_t consumed = 0;
@@ -197,6 +240,10 @@ checkFrame(const std::string &bytes)
             return Error{ErrorCode::Failed,
                          fail("parseFrame exceeded kMaxPayload")};
         }
+        auto reencoded =
+            checkReencode(parsed.value().type, parsed.value().payload);
+        if (!reencoded.ok())
+            return reencoded;
         rest.remove_prefix(consumed);
     }
     return {};

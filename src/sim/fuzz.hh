@@ -41,7 +41,7 @@ namespace bvf::sim
 /** One untrusted parser under fuzz. */
 enum class FuzzTarget : std::uint8_t
 {
-    Frame,    //!< server::parseFrame over a byte stream
+    Frame,    //!< server::parseFrame, then every payload decoder
     Http,     //!< server::scanHttpHead
     Trace,    //!< core::replayTrace, strict and salvage
     Journal,  //!< campaign::parseJournal, salvage included

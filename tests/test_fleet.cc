@@ -708,31 +708,65 @@ TEST(Coordinator, ConvictsABadJobOnTwoWorkers)
     w1.kill();
 }
 
-TEST(Coordinator, LongAppNameIsAJobVerdictNotAWorkerStrike)
+/**
+ * Run one well-framed but unacceptable request through a 2-worker
+ * fleet: the workers must refuse the job (InvalidArgument), not look
+ * like damaged wires that get struck and failed over.
+ */
+void
+expectJobVerdictNotWorkerStrike(const Frame &frame)
 {
     LiveWorker w0, w1;
     Coordinator coord(fleetOver({w0.address(), w1.address()}));
-
-    // A well-framed request whose app name is longer than any app: the
-    // workers must refuse the job, not look like damaged wires.
-    server::ChipEnergyRequest req;
-    req.query.abbr = std::string(100, 'A');
-    const Frame frame{MsgType::ChipEnergyRequest, req.encode()};
     ExecuteInfo info;
     auto reply =
         coord.execute(frame, Coordinator::routeKeyForFrame(frame), &info);
-    ASSERT_TRUE(reply.ok());
+    ASSERT_TRUE(reply.ok()) << reply.error().describe();
     ASSERT_EQ(reply.value().type, MsgType::ErrorResponse);
     const auto verdict = server::WireError::decode(reply.value().payload);
     ASSERT_TRUE(verdict.ok());
     EXPECT_EQ(verdict.value().code,
-              static_cast<std::uint8_t>(ErrorCode::InvalidArgument));
+              static_cast<std::uint8_t>(ErrorCode::InvalidArgument))
+        << verdict.value().message;
     EXPECT_EQ(info.transportFailures, 0);
     EXPECT_EQ(coord.stats().failovers, 0u);
     EXPECT_EQ(coord.workerState(0), WorkerState::Alive);
     EXPECT_EQ(coord.workerState(1), WorkerState::Alive);
     w0.kill();
     w1.kill();
+}
+
+TEST(Coordinator, LongAppNameIsAJobVerdictNotAWorkerStrike)
+{
+    // An app name longer than any app.
+    server::ChipEnergyRequest req;
+    req.query.abbr = std::string(100, 'A');
+    expectJobVerdictNotWorkerStrike(
+        {MsgType::ChipEnergyRequest, req.encode()});
+}
+
+TEST(Coordinator, MalformedPayloadIsAJobVerdictNotAWorkerStrike)
+{
+    // The payload ends mid-field: the frame's CRC held, so the bytes
+    // are what the client sent.
+    expectJobVerdictNotWorkerStrike(
+        {MsgType::ChipEnergyRequest, std::string("\x01\x02\x03", 3)});
+}
+
+TEST(Coordinator, LongDigestIsAJobVerdictNotAWorkerStrike)
+{
+    server::EvalSubmittedRequest req;
+    req.digest = std::string(100, 'k');
+    expectJobVerdictNotWorkerStrike(
+        {MsgType::EvalSubmittedRequest, req.encode()});
+}
+
+TEST(Coordinator, GarbageBytecodeIsAJobVerdictNotAWorkerStrike)
+{
+    server::SubmitKernelRequest req;
+    req.bytecode = std::string(40, '\x5a');
+    expectJobVerdictNotWorkerStrike(
+        {MsgType::SubmitKernelRequest, req.encode()});
 }
 
 TEST(Coordinator, HeartbeatKillsAndRevivesOverUnixSocket)

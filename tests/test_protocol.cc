@@ -3,16 +3,21 @@
  * Wire-protocol tests: frame round-trips, the framing error taxonomy
  * (truncation at every prefix, corrupted magic/CRC/flags, oversized
  * length, version mismatch), message encode/decode round-trips with
- * strict trailing-byte rejection, and a randomized fuzz round-trip.
+ * strict trailing-byte rejection, encoder/decoder agreement at every
+ * field cap, the verdicts of malformed requests, and a randomized fuzz
+ * round-trip.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
+#include "server/handler.hh"
 #include "server/protocol.hh"
 
 namespace bvf::server
@@ -247,6 +252,499 @@ TEST(Messages, LongAppNameIsInvalidNotTruncated)
     const auto over = ChipEnergyRequest::decode(req.encode());
     ASSERT_FALSE(over.ok());
     EXPECT_EQ(over.error().code, ErrorCode::InvalidArgument);
+}
+
+TEST(Messages, LongDigestIsInvalidNotTruncated)
+{
+    // Like a long app name: the digest decodes with the wire's string
+    // cap and is then refused as the request's own fault.
+    EvalSubmittedRequest req;
+    req.digest = std::string(100, 'k');
+    const auto decoded = EvalSubmittedRequest::decode(req.encode());
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().code, ErrorCode::InvalidArgument);
+
+    req.digest = std::string(kMaxDigestBytes, 'k');
+    EXPECT_TRUE(EvalSubmittedRequest::decode(req.encode()).ok());
+    req.digest += 'k';
+    const auto over = EvalSubmittedRequest::decode(req.encode());
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.error().code, ErrorCode::InvalidArgument);
+}
+
+TEST(Handler, MalformedRequestsAreInvalidArgumentNotWireDamage)
+{
+    // Each frame passed parseFrame's CRC check, so what is wrong with
+    // it is its content. A framing code (Corrupt, Truncated,
+    // Unsupported) in the answer would read as wire damage to a fleet
+    // coordinator, which would strike the worker and fail over.
+    EvalSubmittedRequest longDigest;
+    longDigest.digest = std::string(100, 'k');
+    SubmitKernelRequest garbage;
+    garbage.bytecode = std::string(40, '\x5a');
+    const Frame requests[] = {
+        {MsgType::ChipEnergyRequest, std::string("\x01\x02\x03", 3)},
+        {MsgType::EvalSubmittedRequest, longDigest.encode()},
+        {MsgType::SubmitKernelRequest, garbage.encode()},
+    };
+    const RequestHandler handler;
+    for (const Frame &request : requests) {
+        const Frame answer = handler.handle(request);
+        ASSERT_EQ(answer.type, MsgType::ErrorResponse);
+        const auto error = WireError::decode(answer.payload);
+        ASSERT_TRUE(error.ok());
+        EXPECT_EQ(error.value().code,
+                  static_cast<std::uint8_t>(ErrorCode::InvalidArgument))
+            << msgTypeName(request.type) << ": " << error.value().message;
+    }
+}
+
+// --- encoder/decoder agreement ----------------------------------------
+
+/** decode(encode(m)) succeeds and re-encodes to the same bytes. */
+template <typename M>
+void
+expectRoundTrip(const M &m, const std::string &what)
+{
+    const std::string bytes = m.encode();
+    const auto decoded = M::decode(bytes);
+    ASSERT_TRUE(decoded.ok()) << what << ": " << decoded.error().describe();
+    EXPECT_EQ(decoded.value().encode(), bytes) << what;
+}
+
+/** Seeded field values; string and vector lengths favour the caps. */
+struct Gen
+{
+    Rng rng;
+
+    std::size_t
+    length(std::size_t lo, std::size_t cap)
+    {
+        switch (rng.nextBounded(4)) {
+          case 0:
+            return lo;
+          case 1:
+            return cap;
+          default:
+            return lo + rng.nextBounded(std::min<std::size_t>(cap - lo, 40)
+                                        + 1);
+        }
+    }
+
+    template <typename T = std::uint8_t>
+    T
+    below(std::uint64_t bound)
+    {
+        return static_cast<T>(rng.nextBounded(bound));
+    }
+
+    double f64() { return std::bit_cast<double>(rng.nextU64()); }
+
+    std::string
+    str(std::size_t lo, std::size_t cap)
+    {
+        std::string s(length(lo, cap), '\0');
+        for (char &c : s)
+            c = static_cast<char>(rng.nextBounded(256));
+        return s;
+    }
+
+    template <typename T, typename Fill>
+    std::vector<T>
+    list(std::size_t cap, Fill &&fill)
+    {
+        std::vector<T> v(length(0, cap));
+        for (T &e : v)
+            fill(e);
+        return v;
+    }
+
+    std::vector<std::uint64_t>
+    words()
+    {
+        return list<std::uint64_t>(kMaxWords,
+                                   [&](std::uint64_t &w) { w = rng.nextU64(); });
+    }
+
+    StaticQueryResponse::Bound
+    bound()
+    {
+        return {f64(), f64(), below(2)};
+    }
+
+    template <std::size_t N>
+    void
+    fill(std::array<double, N> &a)
+    {
+        for (double &d : a)
+            d = f64();
+    }
+};
+
+// One random valid message of each type.
+
+void
+fill(Gen &g, Ping &m)
+{
+    m.nonce = g.rng.nextU64();
+}
+
+void
+fill(Gen &g, AppQuery &q)
+{
+    q.abbr = g.str(1, kMaxAbbrBytes);
+    q.arch = g.below(4);
+    q.sched = g.below(3);
+    q.vsPivot = g.below<std::uint32_t>(32);
+    q.dynamicIsa = g.below(2);
+}
+
+void
+fill(Gen &g, BitDensityRequest &m)
+{
+    fill(g, m.query);
+}
+
+void
+fill(Gen &g, StaticQueryRequest &m)
+{
+    fill(g, m.query);
+}
+
+void
+fill(Gen &g, StaticAdviceRequest &m)
+{
+    fill(g, m.query);
+}
+
+void
+fill(Gen &g, ChipEnergyRequest &m)
+{
+    fill(g, m.query);
+    m.node = g.below(2);
+    m.pstate = g.below(3);
+    m.cell = g.below(5);
+    m.ecc = g.below(2);
+    m.cellsBitline = 1 + g.below<std::uint32_t>(1024);
+}
+
+void
+fill(Gen &g, EvalCoderRequest &m)
+{
+    m.coder = g.below<CoderKind>(4);
+    m.arch = g.below(4);
+    m.vsPivot = g.below<std::uint32_t>(32);
+    m.isaMask = g.rng.nextU64();
+    m.words = g.words();
+}
+
+void
+fill(Gen &g, EvalCoderResponse &m)
+{
+    m.totalBits = g.rng.nextU64();
+    m.onesBefore = g.rng.nextU64();
+    m.onesAfter = g.rng.nextU64();
+    m.encoded = g.words();
+}
+
+void
+fill(Gen &g, BitDensityResponse &m)
+{
+    m.cycles = g.rng.nextU64();
+    m.instructions = g.rng.nextU64();
+    m.units = g.list<BitDensityResponse::Unit>(
+        kMaxUnits, [&](BitDensityResponse::Unit &u) {
+            u.unit = g.below(256);
+            g.fill(u.density);
+        });
+    g.fill(m.nocDensity);
+}
+
+void
+fill(Gen &g, ChipEnergyResponse &m)
+{
+    m.cycles = g.rng.nextU64();
+    m.instructions = g.rng.nextU64();
+    g.fill(m.chipEnergy);
+    g.fill(m.bvfUnitsEnergy);
+}
+
+void
+fill(Gen &g, StaticQueryResponse &m)
+{
+    m.bestStatic = g.below(256);
+    m.units = g.list<StaticQueryResponse::Unit>(
+        kMaxUnits, [&](StaticQueryResponse::Unit &u) {
+            u.unit = g.below(256);
+            for (auto &b : u.bounds)
+                b = g.bound();
+        });
+    for (auto &b : m.noc)
+        b = g.bound();
+}
+
+void
+fill(Gen &g, StaticAdviceResponse &m)
+{
+    m.bestPivot = g.below(32);
+    m.provenSlack = g.f64();
+    m.affineSources = g.rng.nextU32();
+    m.totalSources = g.rng.nextU32();
+    for (auto &b : m.pivotBounds)
+        b = g.bound();
+    g.fill(m.pivotScores);
+    m.defaultMask = g.rng.nextU64();
+    m.specializedMask = g.rng.nextU64();
+    m.defaultDensity = g.bound();
+    m.specializedDensity = g.bound();
+    m.bestScenario = g.below(256);
+    m.unitPicks = g.list<StaticAdviceResponse::UnitPick>(
+        kMaxUnits, [&](StaticAdviceResponse::UnitPick &u) {
+            u = {g.below(256), g.below(256), g.below(256), g.bound(),
+                 g.bound()};
+        });
+}
+
+void
+fill(Gen &g, SubmitKernelRequest &m)
+{
+    m.bytecode = g.str(1, kMaxBlob);
+    m.optimize = g.below(2);
+}
+
+void
+fill(Gen &g, SubmitKernelResponse &m)
+{
+    m.admitted = g.below(2);
+    m.digest = g.str(0, kMaxString);
+    m.tripBound = g.rng.nextU64();
+    m.globalLo = g.rng.nextU32();
+    m.globalHi = g.rng.nextU32();
+    if (!m.admitted) {
+        m.rejections = g.list<SubmitKernelResponse::WireRejection>(
+            kMaxWireRejections, [&](SubmitKernelResponse::WireRejection &r) {
+                r.reason = g.below(analysis::kNumRejectReasons);
+                r.pc = g.rng.nextU32();
+                r.message = g.str(0, kMaxString);
+            });
+    }
+    m.optimizeRequested = g.below(2);
+    if (m.optimizeRequested) {
+        m.optimized = m.admitted ? g.below(2) : 0;
+        if (m.optimized)
+            m.optimizedDigest = g.str(1, kMaxString);
+    }
+}
+
+void
+fill(Gen &g, EvalSubmittedRequest &m)
+{
+    m.digest = g.str(1, kMaxDigestBytes);
+    m.arch = g.below(4);
+    m.sched = g.below(3);
+    m.vsPivot = g.below<std::uint32_t>(32);
+    m.dynamicIsa = g.below(2);
+    m.node = g.below(2);
+    m.pstate = g.below(3);
+    m.cell = g.below(5);
+    m.ecc = g.below(2);
+    m.cellsBitline = 1 + g.below<std::uint32_t>(1024);
+}
+
+void
+fill(Gen &g, EvalSubmittedResponse &m)
+{
+    m.cycles = g.rng.nextU64();
+    m.instructions = g.rng.nextU64();
+    m.maxWarpIssue = g.rng.nextU64();
+    m.checkedAccesses = g.rng.nextU64();
+    g.fill(m.chipEnergy);
+    g.fill(m.bvfUnitsEnergy);
+}
+
+void
+fill(Gen &g, WireError &m)
+{
+    m.code = g.below(256);
+    m.message = g.str(0, kMaxString);
+}
+
+template <typename M>
+M
+random(Gen &g)
+{
+    M m;
+    fill(g, m);
+    return m;
+}
+
+TEST(Messages, RandomValidMessagesRoundTripAtEveryCap)
+{
+    Gen g{Rng(0xa9e3)};
+    for (int round = 0; round < 24; ++round) {
+        forEachMsg([&]<typename Req, typename Resp>(
+                       const MsgRow<Req, Resp> &row) {
+            const std::string what = strFormat("%s round %d", row.name, round);
+            if constexpr (!std::is_void_v<Req>)
+                expectRoundTrip(random<Req>(g), what + " request");
+            expectRoundTrip(random<Resp>(g), what + " response");
+        });
+    }
+}
+
+/**
+ * @p payload with the string of @p len bytes of @p fill grown by one
+ * byte, its u32 length prefix to match.
+ */
+std::string
+growString(std::string payload, std::uint32_t len, char fill)
+{
+    const auto le32 = [](std::uint32_t v) {
+        std::string out(4, '\0');
+        for (int i = 0; i < 4; ++i)
+            out[static_cast<std::size_t>(i)] = static_cast<char>(v >> (8 * i));
+        return out;
+    };
+    const std::size_t at = payload.find(le32(len) + std::string(len, fill));
+    EXPECT_NE(at, std::string::npos);
+    if (at == std::string::npos)
+        return payload;
+    payload.replace(at, 4, le32(len + 1));
+    payload.insert(at + 4, 1, fill);
+    return payload;
+}
+
+/**
+ * One string field, set by @p make: at @p limit the message round
+ * trips; at the wire @p cap it decodes, or -- when @p limit is tighter
+ * -- is refused as InvalidArgument, a validation rule rather than a
+ * read failure; one byte over the cap (which encode() would refuse to
+ * write) does not decode.
+ */
+template <typename Make>
+void
+expectStringCap(const std::string &what, std::uint32_t cap,
+                std::uint32_t limit, Make &&make)
+{
+    using M = decltype(make(std::string()));
+    const char fill = '\x7e';
+    expectRoundTrip(make(std::string(limit, fill)), what);
+    const std::string atCap = make(std::string(cap, fill)).encode();
+    const auto decoded = M::decode(atCap);
+    if (limit < cap) {
+        ASSERT_FALSE(decoded.ok()) << what;
+        EXPECT_EQ(decoded.error().code, ErrorCode::InvalidArgument)
+            << what << ": " << decoded.error().message;
+    } else {
+        ASSERT_TRUE(decoded.ok()) << what << ": "
+                                  << decoded.error().describe();
+        EXPECT_EQ(decoded.value().encode(), atCap) << what;
+    }
+    EXPECT_FALSE(M::decode(growString(atCap, cap, fill)).ok())
+        << what << " decoded one byte over its cap";
+}
+
+TEST(Messages, EveryStringHasOneCapInBothDirections)
+{
+    const auto query = [](auto msg) {
+        return [msg](std::string abbr) mutable {
+            msg.query.abbr = std::move(abbr);
+            return msg;
+        };
+    };
+    expectStringCap("bit-density abbr", kMaxString, kMaxAbbrBytes,
+                    query(BitDensityRequest{}));
+    expectStringCap("chip-energy abbr", kMaxString, kMaxAbbrBytes,
+                    query(ChipEnergyRequest{}));
+    expectStringCap("static-query abbr", kMaxString, kMaxAbbrBytes,
+                    query(StaticQueryRequest{}));
+    expectStringCap("static-advice abbr", kMaxString, kMaxAbbrBytes,
+                    query(StaticAdviceRequest{}));
+    expectStringCap("submit bytecode", kMaxBlob, kMaxBlob,
+                    [](std::string s) {
+                        SubmitKernelRequest m;
+                        m.bytecode = std::move(s);
+                        return m;
+                    });
+    expectStringCap("submit digest", kMaxString, kMaxString,
+                    [](std::string s) {
+                        SubmitKernelResponse m;
+                        m.admitted = 1;
+                        m.digest = std::move(s);
+                        return m;
+                    });
+    expectStringCap("submit optimized digest", kMaxString, kMaxString,
+                    [](std::string s) {
+                        SubmitKernelResponse m;
+                        m.admitted = 1;
+                        m.optimizeRequested = 1;
+                        m.optimized = 1;
+                        m.optimizedDigest = std::move(s);
+                        return m;
+                    });
+    expectStringCap("rejection message", kMaxString, kMaxString,
+                    [](std::string s) {
+                        SubmitKernelResponse m;
+                        m.rejections.push_back({1, 7, std::move(s)});
+                        return m;
+                    });
+    expectStringCap("eval-submitted digest", kMaxString, kMaxDigestBytes,
+                    [](std::string s) {
+                        EvalSubmittedRequest m;
+                        m.digest = std::move(s);
+                        return m;
+                    });
+    expectStringCap("error message", kMaxString, kMaxString,
+                    [](std::string s) {
+                        WireError m;
+                        m.message = std::move(s);
+                        return m;
+                    });
+}
+
+/** One vector, sized by @p make: at @p cap it round trips, over it not. */
+template <typename Make>
+void
+expectCountCap(const std::string &what, std::size_t cap, Make &&make)
+{
+    using M = decltype(make(0));
+    expectRoundTrip(make(cap), what);
+    EXPECT_FALSE(M::decode(make(cap + 1).encode()).ok())
+        << what << " decoded over its cap";
+}
+
+TEST(Messages, EveryVectorHasOneCap)
+{
+    expectCountCap("coder words", kMaxWords, [](std::size_t n) {
+        EvalCoderRequest m;
+        m.words.assign(n, 0x0123456789abcdefull);
+        return m;
+    });
+    expectCountCap("encoded words", kMaxWords, [](std::size_t n) {
+        EvalCoderResponse m;
+        m.encoded.assign(n, 0xfedcba9876543210ull);
+        return m;
+    });
+    expectCountCap("density units", kMaxUnits, [](std::size_t n) {
+        BitDensityResponse m;
+        m.units.resize(n);
+        return m;
+    });
+    expectCountCap("static-query units", kMaxUnits, [](std::size_t n) {
+        StaticQueryResponse m;
+        m.units.resize(n);
+        return m;
+    });
+    expectCountCap("unit picks", kMaxUnits, [](std::size_t n) {
+        StaticAdviceResponse m;
+        m.unitPicks.resize(n);
+        return m;
+    });
+    expectCountCap("rejections", kMaxWireRejections, [](std::size_t n) {
+        SubmitKernelResponse m;
+        m.rejections.assign(n, {1, 2, "rejected"});
+        return m;
+    });
 }
 
 TEST(Messages, StaticAdviceRoundTrip)
