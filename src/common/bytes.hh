@@ -287,8 +287,6 @@ class LayoutWriter
     {
     }
 
-    void check(const Result<void> &) const {}
-
     std::string take() { return w_.take(); }
 
   private:
@@ -405,13 +403,6 @@ class LayoutReader
             fail(Error{code, strFormat(fmt, args...)});
     }
 
-    void
-    check(const Result<void> &rule)
-    {
-        if (!rule.ok())
-            fail(rule.error());
-    }
-
     bool ok() const { return !error_; }
     const Error &error() const { return *error_; }
 
@@ -439,7 +430,11 @@ class LayoutReader
             truncated();
     }
 
-    void truncated() { fail(Error{ErrorCode::Truncated, "payload ends mid-field"}); }
+    void
+    truncated()
+    {
+        fail(Error{ErrorCode::Truncated, "payload ends mid-field"});
+    }
 
     void
     fail(Error e)

@@ -162,35 +162,59 @@ layout(Io &io, AppQuery &q)
     io(q.arch, q.sched, q.vsPivot, q.dynamicIsa);
 }
 
-Result<void>
-validateAppQuery(const AppQuery &q)
+constexpr ErrorCode kInvalid = ErrorCode::InvalidArgument;
+constexpr ErrorCode kCorrupt = ErrorCode::Corrupt;
+
+/**
+ * The one range check for the machine a request names: isa::GpuArch
+ * index @p arch, gpu::SchedulerPolicy index @p sched, VS pivot lane
+ * @p vsPivot and the dynamic-ISA flag.
+ */
+template <typename Io>
+void
+checkMachine(Io &io, std::uint8_t arch, std::uint8_t sched,
+             std::uint32_t vsPivot, std::uint8_t dynamicIsa)
 {
-    if (q.abbr.empty()) {
-        return Error{ErrorCode::InvalidArgument,
-                     "empty application abbreviation"};
-    }
-    if (q.abbr.size() > kMaxAbbrBytes) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("application abbreviation is %zu bytes "
-                               "(limit %u)",
-                               q.abbr.size(), kMaxAbbrBytes)};
-    }
-    if (q.arch > 3) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("architecture index %u out of range",
-                               q.arch)};
-    }
-    if (q.sched > 2) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("scheduler index %u out of range",
-                               q.sched)};
-    }
-    if (q.vsPivot > 31) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("VS pivot %u out of range [0, 31]",
-                               q.vsPivot)};
-    }
-    return {};
+    io.check(arch <= 3, kInvalid, "architecture index %u out of range",
+             arch);
+    io.check(sched <= 2, kInvalid, "scheduler index %u out of range",
+             sched);
+    io.check(vsPivot <= 31, kInvalid, "VS pivot %u out of range [0, 31]",
+             vsPivot);
+    io.check(dynamicIsa <= 1, kInvalid, "dynamic-ISA flag %u is not 0 or 1",
+             dynamicIsa);
+}
+
+/**
+ * The one range check for the pricing a request names (the fields
+ * ChipEnergyRequest and EvalSubmittedRequest share): technology node,
+ * P-state, cell kind, ECC flag, and cells per bitline in [1, 8192],
+ * the range `bvf_sim --cells-bitline` accepts.
+ */
+template <typename Io, typename M>
+void
+checkPricing(Io &io, const M &m)
+{
+    io.check(m.node <= 1, kInvalid, "technology node index %u out of range",
+             m.node);
+    io.check(m.pstate <= 2, kInvalid, "P-state index %u out of range",
+             m.pstate);
+    io.check(m.cell <= 4, kInvalid, "cell kind index %u out of range",
+             m.cell);
+    io.check(m.ecc <= 1, kInvalid, "ECC flag %u is not 0 or 1", m.ecc);
+    io.check(m.cellsBitline >= 1 && m.cellsBitline <= 8192, kInvalid,
+             "cells per bitline %u out of range [1, 8192]", m.cellsBitline);
+}
+
+template <typename Io>
+void
+checkQuery(Io &io, const AppQuery &q)
+{
+    io.check(!q.abbr.empty(), kInvalid, "empty application abbreviation");
+    io.check(q.abbr.size() <= kMaxAbbrBytes, kInvalid,
+             "application abbreviation is %zu bytes (limit %u)",
+             q.abbr.size(), kMaxAbbrBytes);
+    checkMachine(io, q.arch, q.sched, q.vsPivot, q.dynamicIsa);
 }
 
 /** The three requests that carry nothing but an AppQuery. */
@@ -200,7 +224,7 @@ queryLayout(Io &io, M &m)
 {
     layout(io, m.query);
     io.end();
-    io.check(validateAppQuery(m.query));
+    checkQuery(io, m.query);
 }
 
 template <typename Io>
@@ -237,13 +261,10 @@ layout(Io &io, EvalCoderRequest &m)
 {
     io(m.coder, m.arch, m.vsPivot, m.isaMask);
     const std::uint32_t n = io.count(m.words);
-    io.check(m.coder <= CoderKind::Isa, ErrorCode::InvalidArgument,
+    io.check(m.coder <= CoderKind::Isa, kInvalid,
              "unknown coder kind %u", static_cast<unsigned>(m.coder));
-    io.check(m.arch <= 3, ErrorCode::InvalidArgument,
-             "architecture index %u out of range", m.arch);
-    io.check(m.vsPivot <= 31, ErrorCode::InvalidArgument,
-             "VS pivot %u out of range [0, 31]", m.vsPivot);
-    io.check(n <= kMaxWords, ErrorCode::InvalidArgument,
+    checkMachine(io, m.arch, 0, m.vsPivot, 0);
+    io.check(n <= kMaxWords, kInvalid,
              "%u words exceed the per-request cap of %u", n, kMaxWords);
     io.items(m.words, n, 8, [&](std::uint64_t &w) { io(w); });
 }
@@ -254,7 +275,7 @@ layout(Io &io, EvalCoderResponse &m)
 {
     io(m.totalBits, m.onesBefore, m.onesAfter);
     const std::uint32_t n = io.count(m.encoded);
-    io.check(n <= kMaxWords, ErrorCode::Corrupt,
+    io.check(n <= kMaxWords, kCorrupt,
              "encoded word count exceeds cap");
     io.items(m.encoded, n, 8, [&](std::uint64_t &w) { io(w); });
 }
@@ -265,7 +286,7 @@ layout(Io &io, BitDensityResponse &m)
 {
     io(m.cycles, m.instructions);
     const std::uint32_t n = io.count(m.units);
-    io.check(n <= kMaxUnits, ErrorCode::Corrupt, "unit count exceeds cap");
+    io.check(n <= kMaxUnits, kCorrupt, "unit count exceeds cap");
     io.items(m.units, n, 1 + 8 * kScenarioSlots,
              [&](BitDensityResponse::Unit &u) { io(u.unit, u.density); });
     io(m.nocDensity);
@@ -278,17 +299,8 @@ layout(Io &io, ChipEnergyRequest &m)
     layout(io, m.query);
     io(m.node, m.pstate, m.cell, m.ecc, m.cellsBitline);
     io.end();
-    io.check(validateAppQuery(m.query));
-    io.check(m.node <= 1, ErrorCode::InvalidArgument,
-             "node index %u out of range", m.node);
-    io.check(m.pstate <= 2, ErrorCode::InvalidArgument,
-             "pstate index %u out of range", m.pstate);
-    io.check(m.cell <= 4, ErrorCode::InvalidArgument,
-             "cell index %u out of range", m.cell);
-    io.check(m.cellsBitline >= 1 && m.cellsBitline <= 8192,
-             ErrorCode::InvalidArgument,
-             "cells per bitline %u out of range [1, 8192]",
-             m.cellsBitline);
+    checkQuery(io, m.query);
+    checkPricing(io, m);
 }
 
 template <typename Io>
@@ -304,7 +316,7 @@ layout(Io &io, StaticQueryResponse &m)
 {
     io(m.bestStatic);
     const std::uint32_t n = io.count(m.units);
-    io.check(n <= kMaxUnits, ErrorCode::Corrupt, "unit count exceeds cap");
+    io.check(n <= kMaxUnits, kCorrupt, "unit count exceeds cap");
     io.items(m.units, n, 1 + 17 * kScenarioSlots,
              [&](StaticQueryResponse::Unit &u) {
                  io(u.unit);
@@ -320,7 +332,7 @@ void
 layout(Io &io, StaticAdviceResponse &m)
 {
     io(m.bestPivot, m.provenSlack, m.affineSources, m.totalSources);
-    io.check(m.bestPivot < 32, ErrorCode::Corrupt,
+    io.check(m.bestPivot < 32, kCorrupt,
              "pivot lane out of range");
     for (auto &b : m.pivotBounds)
         layout(io, b);
@@ -329,7 +341,7 @@ layout(Io &io, StaticAdviceResponse &m)
     layout(io, m.specializedDensity);
     io(m.bestScenario);
     const std::uint32_t n = io.count(m.unitPicks);
-    io.check(n <= kMaxUnits, ErrorCode::Corrupt,
+    io.check(n <= kMaxUnits, kCorrupt,
              "unit pick count exceeds cap");
     io.items(m.unitPicks, n, 3 + 2 * 17,
              [&](StaticAdviceResponse::UnitPick &u) {
@@ -348,11 +360,11 @@ layout(Io &io, SubmitKernelRequest &m)
     // byte-identical to the pre-optimizer wire format.
     if (io.tail(m.optimize)) {
         io(m.optimize);
-        io.check(m.optimize <= 1, ErrorCode::Corrupt,
+        io.check(m.optimize <= 1, kCorrupt,
                  "optimize flag is not boolean");
         io.end();
     }
-    io.check(!m.bytecode.empty(), ErrorCode::InvalidArgument,
+    io.check(!m.bytecode.empty(), kInvalid,
              "empty kernel bytecode");
 }
 
@@ -364,16 +376,16 @@ layout(Io &io, SubmitKernelResponse &m)
     io.str(m.digest, kMaxString);
     io(m.tripBound, m.globalLo, m.globalHi);
     const std::uint32_t n = io.count(m.rejections);
-    io.check(m.admitted <= 1, ErrorCode::Corrupt,
+    io.check(m.admitted <= 1, kCorrupt,
              "admitted flag is not boolean");
-    io.check(n <= kMaxWireRejections, ErrorCode::Corrupt,
+    io.check(n <= kMaxWireRejections, kCorrupt,
              "rejection count exceeds cap");
     // Every rejection record needs at least its fixed 9-byte prefix.
     io.items(m.rejections, n, 9, [&](SubmitKernelResponse::WireRejection &r) {
         io(r.reason, r.pc);
         io.str(r.message, kMaxString);
         io.check(r.reason < analysis::kNumRejectReasons,
-                 ErrorCode::InvalidArgument, "unknown rejection reason %u",
+                 kInvalid, "unknown rejection reason %u",
                  r.reason);
     });
     // Optional optimize-on-submit tail (mirrors the request flag).
@@ -381,16 +393,16 @@ layout(Io &io, SubmitKernelResponse &m)
         io(m.optimized);
         io.str(m.optimizedDigest, kMaxString);
         io.end();
-        io.check(m.optimized <= 1, ErrorCode::Corrupt,
+        io.check(m.optimized <= 1, kCorrupt,
                  "optimized flag is not boolean");
         io.check(!m.optimized || !m.optimizedDigest.empty(),
-                 ErrorCode::Corrupt, "optimized response without a digest");
+                 kCorrupt, "optimized response without a digest");
         io.check(m.optimized || m.optimizedDigest.empty(),
-                 ErrorCode::Corrupt, "fallback response carries a digest");
-        io.check(!m.optimized || m.admitted, ErrorCode::Corrupt,
+                 kCorrupt, "fallback response carries a digest");
+        io.check(!m.optimized || m.admitted, kCorrupt,
                  "optimized response without admission");
     }
-    io.check(!m.admitted || m.rejections.empty(), ErrorCode::Corrupt,
+    io.check(!m.admitted || m.rejections.empty(), kCorrupt,
              "admitted response carries rejections");
 }
 
@@ -402,28 +414,13 @@ layout(Io &io, EvalSubmittedRequest &m)
     io(m.arch, m.sched, m.vsPivot, m.dynamicIsa, m.node, m.pstate, m.cell,
        m.ecc, m.cellsBitline);
     io.end();
-    io.check(!m.digest.empty(), ErrorCode::InvalidArgument,
+    io.check(!m.digest.empty(), kInvalid,
              "empty kernel digest");
-    io.check(m.digest.size() <= kMaxDigestBytes, ErrorCode::InvalidArgument,
+    io.check(m.digest.size() <= kMaxDigestBytes, kInvalid,
              "kernel digest is %zu bytes (limit %u)", m.digest.size(),
              kMaxDigestBytes);
-    io.check(m.arch <= 3, ErrorCode::InvalidArgument,
-             "architecture index %u out of range", m.arch);
-    io.check(m.sched <= 2, ErrorCode::InvalidArgument,
-             "scheduler index %u out of range", m.sched);
-    io.check(m.vsPivot <= 31, ErrorCode::InvalidArgument,
-             "VS pivot %u out of range [0, 31]", m.vsPivot);
-    io.check(m.dynamicIsa <= 1 && m.ecc <= 1, ErrorCode::InvalidArgument,
-             "boolean flag is not 0 or 1");
-    io.check(m.node <= 1, ErrorCode::InvalidArgument,
-             "technology node index %u out of range", m.node);
-    io.check(m.pstate <= 2, ErrorCode::InvalidArgument,
-             "P-state index %u out of range", m.pstate);
-    io.check(m.cell <= 4, ErrorCode::InvalidArgument,
-             "cell kind index %u out of range", m.cell);
-    io.check(m.cellsBitline >= 1 && m.cellsBitline <= 1024,
-             ErrorCode::InvalidArgument,
-             "cells per bitline %u out of range [1, 1024]", m.cellsBitline);
+    checkMachine(io, m.arch, m.sched, m.vsPivot, m.dynamicIsa);
+    checkPricing(io, m);
 }
 
 template <typename Io>

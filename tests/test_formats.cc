@@ -311,11 +311,11 @@ TEST(FormatPins, EveryWireMessage)
 
     expectPins(actual, {
         {"bit-density-request", "30/4137f93c"},
-        {"bit-density-request damaged", "1406/5c364c88"},
+        {"bit-density-request damaged", "1443/ca70af29"},
         {"bit-density-response", "158/17f729bf"},
         {"bit-density-response damaged", "9352/3b348afa"},
         {"chip-energy-request", "38/f3c12ecf"},
-        {"chip-energy-request damaged", "2287/2cd505e6"},
+        {"chip-energy-request damaged", "2371/b5ab1e09"},
         {"chip-energy-response", "112/e4fa513d"},
         {"chip-energy-response damaged", "6048/30ad66b7"},
         {"error-response", "41/e6a30efb"},
@@ -325,7 +325,7 @@ TEST(FormatPins, EveryWireMessage)
         {"eval-coder-response", "68/0d590007"},
         {"eval-coder-response damaged", "3440/96b9371b"},
         {"eval-submitted-request", "53/c7dfe5dc"},
-        {"eval-submitted-request damaged", "3287/c5cc6146"},
+        {"eval-submitted-request damaged", "3295/c6ae1a4e"},
         {"eval-submitted-response", "128/a728d703"},
         {"eval-submitted-response damaged", "7280/4f0e844b"},
         {"ping-request", "24/3a292b88"},
@@ -333,11 +333,11 @@ TEST(FormatPins, EveryWireMessage)
         {"ping-response", "24/3e0ea3b3"},
         {"ping-response damaged", "488/e535db94"},
         {"static-advice-request", "30/b0dd0085"},
-        {"static-advice-request damaged", "1406/5c364c88"},
+        {"static-advice-request damaged", "1443/ca70af29"},
         {"static-advice-response", "962/4c2e3e6d"},
         {"static-advice-response damaged", "61663/2a4e83ab"},
         {"static-query-request", "30/56abaa2d"},
-        {"static-query-request damaged", "1406/5c364c88"},
+        {"static-query-request damaged", "1443/ca70af29"},
         {"static-query-response", "192/8187c87a"},
         {"static-query-response damaged", "11564/dfc66a3b"},
         {"submit-kernel-request", "320/b63560d8"},

@@ -362,8 +362,8 @@ struct Gen
     std::vector<std::uint64_t>
     words()
     {
-        return list<std::uint64_t>(kMaxWords,
-                                   [&](std::uint64_t &w) { w = rng.nextU64(); });
+        return list<std::uint64_t>(
+            kMaxWords, [&](std::uint64_t &w) { w = rng.nextU64(); });
     }
 
     StaticQueryResponse::Bound
@@ -1075,6 +1075,56 @@ TEST(Messages, EvalSubmittedValidatesEveryEnumIndex)
         EXPECT_FALSE(EvalSubmittedRequest::decode(req.encode()).ok());
     }
     EXPECT_TRUE(EvalSubmittedRequest::decode(good.encode()).ok());
+}
+
+TEST(Messages, MachineAndPricingChecksAreTheSameInEveryRequest)
+{
+    // Every request that names a machine or a pricing is checked by the
+    // same rule, with the same verdict text.
+    const auto verdict = [](const auto &req) {
+        const auto decoded =
+            std::remove_cvref_t<decltype(req)>::decode(req.encode());
+        return decoded.ok() ? std::string("ok") : decoded.error().message;
+    };
+    AppQuery query;
+    query.abbr = "KMN";
+    ChipEnergyRequest energy;
+    energy.query = query;
+    EvalSubmittedRequest eval;
+    eval.digest = "k0-0";
+
+    energy.cellsBitline = eval.cellsBitline = 8192;
+    EXPECT_EQ(verdict(energy), "ok");
+    EXPECT_EQ(verdict(eval), "ok");
+    energy.cellsBitline = eval.cellsBitline = 8193;
+    EXPECT_EQ(verdict(energy),
+              "cells per bitline 8193 out of range [1, 8192]");
+    EXPECT_EQ(verdict(eval), verdict(energy));
+    energy.cellsBitline = eval.cellsBitline = 128;
+
+    energy.ecc = eval.ecc = 2;
+    EXPECT_EQ(verdict(energy), "ECC flag 2 is not 0 or 1");
+    EXPECT_EQ(verdict(eval), verdict(energy));
+    energy.ecc = eval.ecc = 0;
+
+    energy.node = eval.node = 2;
+    EXPECT_EQ(verdict(energy), "technology node index 2 out of range");
+    EXPECT_EQ(verdict(eval), verdict(energy));
+    energy.node = eval.node = 0;
+
+    energy.query.dynamicIsa = eval.dynamicIsa = 2;
+    BitDensityRequest density;
+    density.query = energy.query;
+    EXPECT_EQ(verdict(density), "dynamic-ISA flag 2 is not 0 or 1");
+    EXPECT_EQ(verdict(energy), verdict(density));
+    EXPECT_EQ(verdict(eval), verdict(density));
+
+    EvalCoderRequest coder;
+    coder.vsPivot = 32;
+    density.query.dynamicIsa = 0;
+    density.query.vsPivot = 32;
+    EXPECT_EQ(verdict(coder), "VS pivot 32 out of range [0, 31]");
+    EXPECT_EQ(verdict(density), verdict(coder));
 }
 
 TEST(Messages, EvalSubmittedResponseRoundTrip)
