@@ -147,6 +147,9 @@ parseFrame(std::string_view bytes, std::size_t &consumed)
 namespace
 {
 
+constexpr ErrorCode kInvalid = ErrorCode::InvalidArgument;
+constexpr ErrorCode kCorrupt = ErrorCode::Corrupt;
+
 template <typename Io>
 void
 layout(Io &io, Ping &m)
@@ -161,9 +164,6 @@ layout(Io &io, AppQuery &q)
     io.str(q.abbr, kMaxString);
     io(q.arch, q.sched, q.vsPivot, q.dynamicIsa);
 }
-
-constexpr ErrorCode kInvalid = ErrorCode::InvalidArgument;
-constexpr ErrorCode kCorrupt = ErrorCode::Corrupt;
 
 /**
  * The one range check for the machine a request names: isa::GpuArch
