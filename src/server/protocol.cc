@@ -261,8 +261,8 @@ layout(Io &io, EvalCoderRequest &m)
 {
     io(m.coder, m.arch, m.vsPivot, m.isaMask);
     const std::uint32_t n = io.count(m.words);
-    io.check(m.coder <= CoderKind::Isa, kInvalid,
-             "unknown coder kind %u", static_cast<unsigned>(m.coder));
+    io.check(m.coder <= CoderKind::Isa, kInvalid, "unknown coder kind %u",
+             static_cast<unsigned>(m.coder));
     checkMachine(io, m.arch, 0, m.vsPivot, 0);
     io.check(n <= kMaxWords, kInvalid,
              "%u words exceed the per-request cap of %u", n, kMaxWords);
@@ -275,8 +275,7 @@ layout(Io &io, EvalCoderResponse &m)
 {
     io(m.totalBits, m.onesBefore, m.onesAfter);
     const std::uint32_t n = io.count(m.encoded);
-    io.check(n <= kMaxWords, kCorrupt,
-             "encoded word count exceeds cap");
+    io.check(n <= kMaxWords, kCorrupt, "encoded word count exceeds cap");
     io.items(m.encoded, n, 8, [&](std::uint64_t &w) { io(w); });
 }
 
@@ -332,8 +331,7 @@ void
 layout(Io &io, StaticAdviceResponse &m)
 {
     io(m.bestPivot, m.provenSlack, m.affineSources, m.totalSources);
-    io.check(m.bestPivot < 32, kCorrupt,
-             "pivot lane out of range");
+    io.check(m.bestPivot < 32, kCorrupt, "pivot lane out of range");
     for (auto &b : m.pivotBounds)
         layout(io, b);
     io(m.pivotScores, m.defaultMask, m.specializedMask);
@@ -341,8 +339,7 @@ layout(Io &io, StaticAdviceResponse &m)
     layout(io, m.specializedDensity);
     io(m.bestScenario);
     const std::uint32_t n = io.count(m.unitPicks);
-    io.check(n <= kMaxUnits, kCorrupt,
-             "unit pick count exceeds cap");
+    io.check(n <= kMaxUnits, kCorrupt, "unit pick count exceeds cap");
     io.items(m.unitPicks, n, 3 + 2 * 17,
              [&](StaticAdviceResponse::UnitPick &u) {
                  io(u.unit, u.pick, u.proven);
@@ -360,12 +357,10 @@ layout(Io &io, SubmitKernelRequest &m)
     // byte-identical to the pre-optimizer wire format.
     if (io.tail(m.optimize)) {
         io(m.optimize);
-        io.check(m.optimize <= 1, kCorrupt,
-                 "optimize flag is not boolean");
+        io.check(m.optimize <= 1, kCorrupt, "optimize flag is not boolean");
         io.end();
     }
-    io.check(!m.bytecode.empty(), kInvalid,
-             "empty kernel bytecode");
+    io.check(!m.bytecode.empty(), kInvalid, "empty kernel bytecode");
 }
 
 template <typename Io>
@@ -376,29 +371,27 @@ layout(Io &io, SubmitKernelResponse &m)
     io.str(m.digest, kMaxString);
     io(m.tripBound, m.globalLo, m.globalHi);
     const std::uint32_t n = io.count(m.rejections);
-    io.check(m.admitted <= 1, kCorrupt,
-             "admitted flag is not boolean");
+    io.check(m.admitted <= 1, kCorrupt, "admitted flag is not boolean");
     io.check(n <= kMaxWireRejections, kCorrupt,
              "rejection count exceeds cap");
     // Every rejection record needs at least its fixed 9-byte prefix.
-    io.items(m.rejections, n, 9, [&](SubmitKernelResponse::WireRejection &r) {
-        io(r.reason, r.pc);
-        io.str(r.message, kMaxString);
-        io.check(r.reason < analysis::kNumRejectReasons,
-                 kInvalid, "unknown rejection reason %u",
-                 r.reason);
-    });
+    io.items(m.rejections, n, 9,
+             [&](SubmitKernelResponse::WireRejection &r) {
+                 io(r.reason, r.pc);
+                 io.str(r.message, kMaxString);
+                 io.check(r.reason < analysis::kNumRejectReasons, kInvalid,
+                          "unknown rejection reason %u", r.reason);
+             });
     // Optional optimize-on-submit tail (mirrors the request flag).
     if (io.tail(m.optimizeRequested)) {
         io(m.optimized);
         io.str(m.optimizedDigest, kMaxString);
         io.end();
-        io.check(m.optimized <= 1, kCorrupt,
-                 "optimized flag is not boolean");
-        io.check(!m.optimized || !m.optimizedDigest.empty(),
-                 kCorrupt, "optimized response without a digest");
-        io.check(m.optimized || m.optimizedDigest.empty(),
-                 kCorrupt, "fallback response carries a digest");
+        io.check(m.optimized <= 1, kCorrupt, "optimized flag is not boolean");
+        io.check(!m.optimized || !m.optimizedDigest.empty(), kCorrupt,
+                 "optimized response without a digest");
+        io.check(m.optimized || m.optimizedDigest.empty(), kCorrupt,
+                 "fallback response carries a digest");
         io.check(!m.optimized || m.admitted, kCorrupt,
                  "optimized response without admission");
     }
@@ -414,8 +407,7 @@ layout(Io &io, EvalSubmittedRequest &m)
     io(m.arch, m.sched, m.vsPivot, m.dynamicIsa, m.node, m.pstate, m.cell,
        m.ecc, m.cellsBitline);
     io.end();
-    io.check(!m.digest.empty(), kInvalid,
-             "empty kernel digest");
+    io.check(!m.digest.empty(), kInvalid, "empty kernel digest");
     io.check(m.digest.size() <= kMaxDigestBytes, kInvalid,
              "kernel digest is %zu bytes (limit %u)", m.digest.size(),
              kMaxDigestBytes);
