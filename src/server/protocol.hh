@@ -21,7 +21,7 @@
  * encode() and decode() run (common/bytes.hh LayoutWriter and
  * LayoutReader). All integers are little-endian; doubles are IEEE-754
  * bit patterns in a u64, so energies survive the wire bit-identically;
- * every string and vector has one cap, the same in both directions.
+ * every string has one cap, the same in both directions.
  * The CRC makes a torn or corrupted stream detectable before any
  * request is executed; a length above kMaxPayload is rejected without
  * buffering (a 4 GB length field must not allocate 4 GB); an unknown
@@ -131,9 +131,10 @@ constexpr std::size_t kScenarioSlots =
     static_cast<std::size_t>(coder::numScenarios);
 
 /**
- * Field caps, each one used by encode() (which panics above it) and by
- * decode() (which refuses it): every string (app names, digests,
- * messages), kernel bytecode, a coder word vector and a per-unit table.
+ * Field caps. kMaxString (every string: app names, digests, messages)
+ * and kMaxBlob (kernel bytecode) hold in both directions: encode()
+ * panics above them and decode() refuses them. decode() refuses a coder
+ * word vector over kMaxWords and a per-unit table over kMaxUnits.
  */
 constexpr std::uint32_t kMaxString = 4096;
 constexpr std::uint32_t kMaxBlob = kMaxPayload - 64;
