@@ -49,13 +49,6 @@
  * daemon's answer and is never retried.
  */
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -76,6 +69,7 @@
 #include "isa/asm.hh"
 #include "isa/bytecode.hh"
 #include "server/protocol.hh"
+#include "server/transport.hh"
 
 using namespace bvf;
 using namespace bvf::server;
@@ -244,144 +238,30 @@ parse(int argc, char **argv)
     return o;
 }
 
-/** Connect per the options; throws TransportError on failure. */
-int
-connectTo(const Options &o)
-{
-    if (!o.unixPath.empty()) {
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        fatal_if(fd < 0, "socket(): %s", std::strerror(errno));
-        sockaddr_un addr = {};
-        addr.sun_family = AF_UNIX;
-        fatal_if(o.unixPath.size() >= sizeof(addr.sun_path),
-                 "unix path '%s' is too long", o.unixPath.c_str());
-        std::strncpy(addr.sun_path, o.unixPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr))
-            != 0) {
-            const int err = errno;
-            ::close(fd);
-            throw TransportError{strFormat("connect(%s): %s",
-                                           o.unixPath.c_str(),
-                                           std::strerror(err))};
-        }
-        return fd;
-    }
-
-    addrinfo hints = {};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo *res = nullptr;
-    const std::string portStr = strFormat("%d", o.port);
-    const int rc = ::getaddrinfo(o.host.c_str(), portStr.c_str(), &hints,
-                                 &res);
-    if (rc != 0) {
-        throw TransportError{strFormat("cannot resolve %s: %s",
-                                       o.host.c_str(),
-                                       ::gai_strerror(rc))};
-    }
-    int fd = -1;
-    for (addrinfo *ai = res; ai; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-        if (fd < 0)
-            continue;
-        if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0)
-            break;
-        ::close(fd);
-        fd = -1;
-    }
-    ::freeaddrinfo(res);
-    if (fd < 0) {
-        throw TransportError{strFormat("cannot connect to %s:%d",
-                                       o.host.c_str(), o.port)};
-    }
-    return fd;
-}
-
-bool
-writeAll(int fd, std::string_view bytes)
-{
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + sent, bytes.size() - sent);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/** writeAll or throw TransportError. */
+/** Send @p bytes whole; throws TransportError on failure. */
 void
-sendAll(int fd, std::string_view bytes)
+sendBytes(Transport &t, std::string_view bytes)
 {
-    if (!writeAll(fd, bytes)) {
-        throw TransportError{
-            strFormat("write(): %s", std::strerror(errno))};
-    }
+    auto sent = t.send(bytes, std::chrono::milliseconds{0});
+    if (!sent.ok())
+        throw TransportError{sent.error().describe()};
 }
 
 /**
- * Read until one whole frame parses out of @p buf, waiting at most
- * deadlineMs (per response) when nonzero. Every failure mode here --
- * timeout, hangup, torn frame -- is a TransportError: the stream is
- * unusable and only a fresh connection can help.
+ * Read the next frame, waiting at most deadlineMs (per response) when
+ * nonzero. Every failure mode here -- timeout, hangup, torn frame --
+ * is a TransportError: the stream is unusable and only a fresh
+ * connection can help.
  */
 Frame
-recvFrame(const Options &o, int fd, std::string &buf)
+nextFrame(const Options &o, Transport &t, std::string &buf)
 {
-    const auto start = std::chrono::steady_clock::now();
-    for (;;) {
-        std::size_t consumed = 0;
-        auto parsed = parseFrame(buf, consumed);
-        if (parsed.ok()) {
-            buf.erase(0, consumed);
-            return std::move(parsed.value());
-        }
-        if (parsed.error().code != ErrorCode::Truncated) {
-            throw TransportError{
-                strFormat("protocol error from daemon: %s",
-                          parsed.error().describe().c_str())};
-        }
-        if (o.deadlineMs > 0) {
-            const auto spent =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            const long long left = o.deadlineMs - spent;
-            if (left <= 0)
-                throw TransportError{strFormat(
-                    "no response within %d ms", o.deadlineMs)};
-            pollfd p = {fd, POLLIN, 0};
-            const int rc =
-                ::poll(&p, 1, static_cast<int>(left));
-            if (rc < 0 && errno != EINTR) {
-                throw TransportError{
-                    strFormat("poll(): %s", std::strerror(errno))};
-            }
-            if (rc == 0)
-                throw TransportError{strFormat(
-                    "no response within %d ms", o.deadlineMs)};
-            if (rc < 0)
-                continue;
-        }
-        char chunk[4096];
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n == 0)
-            throw TransportError{"daemon hung up mid-frame"};
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throw TransportError{
-                strFormat("read(): %s", std::strerror(errno))};
-        }
-        buf.append(chunk, static_cast<std::size_t>(n));
-    }
+    const std::chrono::milliseconds budget{o.deadlineMs > 0 ? o.deadlineMs
+                                                            : -1};
+    auto frame = readFrame(t, buf, budget, systemClock());
+    if (!frame.ok())
+        throw TransportError{frame.error().describe()};
+    return std::move(frame.value());
 }
 
 /** Fail loudly when @p frame is an ErrorResponse. */
@@ -397,8 +277,20 @@ rejectError(const Frame &frame)
     fatal("daemon refused the request (undecodable error payload)");
 }
 
+/** Send one request and read its (non-error) response. */
+Frame
+roundTrip(const Options &o, Transport &t, MsgType type,
+          const std::string &payload)
+{
+    sendBytes(t, encodeFrame(type, payload));
+    std::string buf;
+    Frame frame = nextFrame(o, t, buf);
+    rejectError(frame);
+    return frame;
+}
+
 int
-cmdPing(const Options &o, int fd)
+cmdPing(const Options &o, Transport &t)
 {
     int count = 1;
     if (!o.args.empty())
@@ -411,11 +303,11 @@ cmdPing(const Options &o, int fd)
         ping.nonce = 0x1000u + static_cast<std::uint64_t>(i);
         batch += encodeFrame(MsgType::PingRequest, ping.encode());
     }
-    sendAll(fd, batch);
+    sendBytes(t, batch);
 
     std::string buf;
     for (int i = 0; i < count; ++i) {
-        const Frame frame = recvFrame(o, fd, buf);
+        const Frame frame = nextFrame(o, t, buf);
         rejectError(frame);
         fatal_if(frame.type != MsgType::PingResponse,
                  "expected ping-response, got %s",
@@ -432,7 +324,7 @@ cmdPing(const Options &o, int fd)
 }
 
 int
-cmdEvalCoder(const Options &o, int fd)
+cmdEvalCoder(const Options &o, Transport &t)
 {
     if (o.args.size() < 2) {
         cli::dieUsage(
@@ -456,10 +348,8 @@ cmdEvalCoder(const Options &o, int fd)
     for (std::size_t i = 1; i < o.args.size(); ++i)
         req.words.push_back(parseHex64("eval-coder word", o.args[i]));
 
-    sendAll(fd, encodeFrame(MsgType::EvalCoderRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
+    const Frame frame =
+        roundTrip(o, t, MsgType::EvalCoderRequest, req.encode());
     const auto resp = EvalCoderResponse::decode(frame.payload);
     fatal_if(!resp.ok(), "bad eval-coder response: %s",
              resp.error().describe().c_str());
@@ -493,14 +383,12 @@ queryFor(const Options &o)
 }
 
 int
-cmdDensity(const Options &o, int fd)
+cmdDensity(const Options &o, Transport &t)
 {
     BitDensityRequest req;
     req.query = queryFor(o);
-    sendAll(fd, encodeFrame(MsgType::BitDensityRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
+    const Frame frame =
+        roundTrip(o, t, MsgType::BitDensityRequest, req.encode());
     const auto resp = BitDensityResponse::decode(frame.payload);
     fatal_if(!resp.ok(), "bad density response: %s",
              resp.error().describe().c_str());
@@ -529,7 +417,7 @@ cmdDensity(const Options &o, int fd)
 }
 
 int
-cmdEnergy(const Options &o, int fd)
+cmdEnergy(const Options &o, Transport &t)
 {
     ChipEnergyRequest req;
     req.query = queryFor(o);
@@ -538,10 +426,8 @@ cmdEnergy(const Options &o, int fd)
     req.cell = o.cell;
     req.ecc = o.ecc;
     req.cellsBitline = o.cellsBitline;
-    sendAll(fd, encodeFrame(MsgType::ChipEnergyRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
+    const Frame frame =
+        roundTrip(o, t, MsgType::ChipEnergyRequest, req.encode());
     const auto resp = ChipEnergyResponse::decode(frame.payload);
     fatal_if(!resp.ok(), "bad energy response: %s",
              resp.error().describe().c_str());
@@ -566,14 +452,12 @@ cmdEnergy(const Options &o, int fd)
 }
 
 int
-cmdStatic(const Options &o, int fd)
+cmdStatic(const Options &o, Transport &t)
 {
     StaticQueryRequest req;
     req.query = queryFor(o);
-    sendAll(fd, encodeFrame(MsgType::StaticQueryRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
+    const Frame frame =
+        roundTrip(o, t, MsgType::StaticQueryRequest, req.encode());
     const auto resp = StaticQueryResponse::decode(frame.payload);
     fatal_if(!resp.ok(), "bad static response: %s",
              resp.error().describe().c_str());
@@ -605,14 +489,12 @@ cmdStatic(const Options &o, int fd)
 }
 
 int
-cmdAdvise(const Options &o, int fd)
+cmdAdvise(const Options &o, Transport &t)
 {
     StaticAdviceRequest req;
     req.query = queryFor(o);
-    sendAll(fd, encodeFrame(MsgType::StaticAdviceRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
+    const Frame frame =
+        roundTrip(o, t, MsgType::StaticAdviceRequest, req.encode());
     const auto resp = StaticAdviceResponse::decode(frame.payload);
     fatal_if(!resp.ok(), "bad advice response: %s",
              resp.error().describe().c_str());
@@ -691,7 +573,7 @@ printEnergyTable(const std::array<double, kScenarioSlots> &chip,
 
 /** Send one EvalSubmitted request and print the result. */
 int
-evalByDigest(const Options &o, int fd, const std::string &digest)
+evalByDigest(const Options &o, Transport &t, const std::string &digest)
 {
     EvalSubmittedRequest req;
     req.digest = digest;
@@ -704,10 +586,8 @@ evalByDigest(const Options &o, int fd, const std::string &digest)
     req.cell = o.cell;
     req.ecc = o.ecc;
     req.cellsBitline = o.cellsBitline;
-    sendAll(fd, encodeFrame(MsgType::EvalSubmittedRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
+    const Frame frame =
+        roundTrip(o, t, MsgType::EvalSubmittedRequest, req.encode());
     const auto resp = EvalSubmittedResponse::decode(frame.payload);
     fatal_if(!resp.ok(), "bad eval-submitted response: %s",
              resp.error().describe().c_str());
@@ -724,14 +604,12 @@ evalByDigest(const Options &o, int fd, const std::string &digest)
 }
 
 int
-cmdSubmit(const Options &o, int fd)
+cmdSubmit(const Options &o, Transport &t)
 {
     SubmitKernelRequest req;
     req.bytecode = loadKernelBytecode(o.args[0]);
-    sendAll(fd, encodeFrame(MsgType::SubmitKernelRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
+    const Frame frame =
+        roundTrip(o, t, MsgType::SubmitKernelRequest, req.encode());
     const auto resp = SubmitKernelResponse::decode(frame.payload);
     fatal_if(!resp.ok(), "bad submit response: %s",
              resp.error().describe().c_str());
@@ -754,42 +632,30 @@ cmdSubmit(const Options &o, int fd)
                 static_cast<unsigned long long>(r.tripBound), r.globalLo,
                 r.globalHi);
     if (o.evalAfterSubmit)
-        return evalByDigest(o, fd, r.digest);
+        return evalByDigest(o, t, r.digest);
     return 0;
 }
 
 int
-cmdEval(const Options &o, int fd)
+cmdEval(const Options &o, Transport &t)
 {
-    return evalByDigest(o, fd, o.args[0]);
+    return evalByDigest(o, t, o.args[0]);
 }
 
 int
-cmdMetrics(const Options &o, int fd)
+cmdMetrics(const Options &o, Transport &t)
 {
-    const std::string get = "GET /metrics HTTP/1.0\r\n\r\n";
-    sendAll(fd, get);
+    sendBytes(t, "GET /metrics HTTP/1.0\r\n\r\n");
     std::string reply;
-    char chunk[4096];
     for (;;) {
-        if (o.deadlineMs > 0) {
-            pollfd p = {fd, POLLIN, 0};
-            const int rc = ::poll(&p, 1, o.deadlineMs);
-            if (rc == 0) {
-                throw TransportError{strFormat(
-                    "no /metrics reply within %d ms", o.deadlineMs)};
-            }
-            if (rc < 0 && errno != EINTR) {
-                throw TransportError{
-                    strFormat("poll(): %s", std::strerror(errno))};
-            }
+        auto got = t.recv(std::chrono::milliseconds{o.deadlineMs});
+        if (!got.ok() && got.error().code == ErrorCode::Timeout) {
+            throw TransportError{strFormat(
+                "no /metrics reply within %d ms", o.deadlineMs)};
         }
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
+        if (!got.ok() || got.value().empty())
             break;
-        reply.append(chunk, static_cast<std::size_t>(n));
+        reply += got.value();
     }
     if (reply.empty()) {
         throw TransportError{strFormat("no /metrics reply from %s:%d",
@@ -815,24 +681,24 @@ main(int argc, char **argv)
         return cli::reportUsage("bvf_client", e);
     }
 
-    auto dispatch = [&](int fd) -> int {
+    auto dispatch = [&](Transport &t) -> int {
         if (o.command == "ping")
-            return cmdPing(o, fd);
+            return cmdPing(o, t);
         if (o.command == "eval-coder")
-            return cmdEvalCoder(o, fd);
+            return cmdEvalCoder(o, t);
         if (o.command == "density")
-            return cmdDensity(o, fd);
+            return cmdDensity(o, t);
         if (o.command == "energy")
-            return cmdEnergy(o, fd);
+            return cmdEnergy(o, t);
         if (o.command == "static")
-            return cmdStatic(o, fd);
+            return cmdStatic(o, t);
         if (o.command == "advise")
-            return cmdAdvise(o, fd);
+            return cmdAdvise(o, t);
         if (o.command == "submit")
-            return cmdSubmit(o, fd);
+            return cmdSubmit(o, t);
         if (o.command == "eval")
-            return cmdEval(o, fd);
-        return cmdMetrics(o, fd);
+            return cmdEval(o, t);
+        return cmdMetrics(o, t);
     };
     const bool known =
         o.command == "ping" || o.command == "eval-coder"
@@ -853,15 +719,16 @@ main(int argc, char **argv)
     // position is unknowable, so resuming it could pair a stale
     // response with a fresh request.
     for (int attempt = 0;; ++attempt) {
-        int fd = -1;
         try {
-            fd = connectTo(o);
-            const int rc = dispatch(fd);
-            ::close(fd);
-            return rc;
+            const auto forever = std::chrono::milliseconds{0};
+            auto dialed =
+                o.unixPath.empty()
+                    ? SocketTransport::dialTcp(o.host, o.port, forever)
+                    : SocketTransport::dialUnix(o.unixPath, forever);
+            if (!dialed.ok())
+                throw TransportError{dialed.error().describe()};
+            return dispatch(*dialed.value());
         } catch (const TransportError &e) {
-            if (fd >= 0)
-                ::close(fd);
             if (attempt >= o.retries) {
                 std::fprintf(
                     stderr, "bvf_client: %s (gave up after %d "

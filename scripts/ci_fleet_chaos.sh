@@ -23,12 +23,17 @@ echo "work directory: $WORK"
 WORKER_PIDS=""
 FLEET_PID=""
 
-fail() {
-    echo "FAIL: $*" >&2
+# Every exit, PASS included, takes down the workers and the fleet.
+cleanup() {
     for pid in $WORKER_PIDS $FLEET_PID; do
         kill -9 "$pid" 2>/dev/null
         wait "$pid" 2>/dev/null
     done
+}
+trap cleanup EXIT
+
+fail() {
+    echo "FAIL: $*" >&2
     exit 1
 }
 

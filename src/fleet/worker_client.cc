@@ -137,42 +137,19 @@ WorkerClient::request(const Frame &frame,
     }
 
     std::string buf;
-    for (;;) {
-        std::size_t consumed = 0;
-        auto parsed = server::parseFrame(buf, consumed);
-        if (parsed.ok()) {
-            if (consumed == buf.size()) {
-                checkin(std::move(transport)); // provably clean stream
-            } else {
-                // Bytes beyond the response (a duplicated frame, a
-                // babbling worker): the answer we matched by position
-                // is still the answer, but a pooled connection holding
-                // leftovers would serve them as the *next* request's
-                // response. Never re-pool a desynced stream.
-                transport->close();
-            }
-            return std::move(parsed.value());
-        }
-        if (parsed.error().code != ErrorCode::Truncated) {
-            transport->close(); // stream offset is unreliable now
-            return parsed.error();
-        }
-        const auto budget = remainingBudget(start, deadline);
-        if (budget.count() == 0) {
-            transport->close();
-            return Error{ErrorCode::Timeout, "worker deadline expired"};
-        }
-        auto got = transport->recv(budget);
-        if (!got.ok()) {
-            transport->close();
-            return got.error();
-        }
-        if (got.value().empty()) {
-            transport->close();
-            return Error{ErrorCode::Io, "worker hung up mid-frame"};
-        }
-        buf.append(got.value());
+    auto response = server::readFrame(
+        *transport, buf, remainingBudget(start, deadline), *clock_);
+    if (response.ok() && buf.empty()) {
+        checkin(std::move(transport)); // provably clean stream
+    } else {
+        // A failed read leaves the stream offset unreliable. Bytes
+        // beyond the response (a duplicated frame, a babbling worker)
+        // do not change the answer we matched by position, but a
+        // pooled connection holding leftovers would serve them as the
+        // *next* request's response. Never re-pool a desynced stream.
+        transport->close();
     }
+    return response;
 }
 
 } // namespace bvf::fleet

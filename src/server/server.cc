@@ -7,7 +7,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -25,29 +24,6 @@
 
 namespace bvf::server
 {
-
-namespace
-{
-
-/** write() the whole buffer, riding out short writes and EINTR. */
-bool
-writeAll(int fd, std::string_view bytes)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + off, bytes.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-} // namespace
 
 /** One request awaiting its in-order turn on the response stream. */
 struct Slot
@@ -253,64 +229,55 @@ Server::acceptLoop()
                 continue;
             }
             connFds_.push_back(client);
-            connThreads_.emplace_back([this, client] {
-                serveConnection(client);
-                // Forget the descriptor before its number can be
-                // reused, or drain() could shut down a stranger.
-                std::lock_guard<std::mutex> forget(connMutex_);
-                connFds_.erase(std::remove(connFds_.begin(),
-                                           connFds_.end(), client),
-                               connFds_.end());
-            });
+            connThreads_.emplace_back(
+                [this, client] { serveConnection(client); });
         }
     }
 }
 
 void
-Server::serveMetricsHttp(int fd, std::string already)
+Server::serveMetricsHttp(Transport &transport, std::string already)
 {
     // Consume the rest of the request head, bounded *before* we
     // buffer: an attacker feeding an endless request line must cost a
     // rejection, not memory. We answer any complete GET head.
-    char buf[1024];
     HttpScanResult scan = scanHttpHead(already);
     while (scan.state == HttpScan::NeedMore) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n <= 0)
+        auto got = transport.recv(std::chrono::milliseconds{0});
+        if (!got.ok() || got.value().empty())
             break;
-        already.append(buf, static_cast<std::size_t>(n));
+        already += got.value();
         scan = scanHttpHead(already);
     }
 
-    std::string head;
-    std::string body;
+    std::string reply;
     switch (scan.state) {
       case HttpScan::RequestLineTooLong:
         metrics_.onProtocolError();
-        head = "HTTP/1.0 414 URI Too Long\r\n"
-               "Connection: close\r\n\r\n";
+        reply = "HTTP/1.0 414 URI Too Long\r\n"
+                "Connection: close\r\n\r\n";
         break;
       case HttpScan::HeadTooLong:
         metrics_.onProtocolError();
-        head = "HTTP/1.0 431 Request Header Fields Too Large\r\n"
-               "Connection: close\r\n\r\n";
+        reply = "HTTP/1.0 431 Request Header Fields Too Large\r\n"
+                "Connection: close\r\n\r\n";
         break;
-      default:
+      default: {
         // Complete -- or EOF mid-head, in which case answering is
         // harmless and matches the old lenient behavior.
-        body = renderMetrics();
-        head = strFormat(
-            "HTTP/1.0 200 OK\r\n"
-            "Content-Type: text/plain; version=0.0.4\r\n"
-            "Content-Length: %zu\r\n"
-            "Connection: close\r\n\r\n",
-            body.size());
+        const std::string body = renderMetrics();
+        reply = strFormat(
+                    "HTTP/1.0 200 OK\r\n"
+                    "Content-Type: text/plain; version=0.0.4\r\n"
+                    "Content-Length: %zu\r\n"
+                    "Connection: close\r\n\r\n",
+                    body.size())
+                + body;
         break;
+      }
     }
-    writeAll(fd, head);
-    if (!body.empty())
-        writeAll(fd, body);
-    metrics_.addBytesOut(head.size() + body.size());
+    transport.send(reply, std::chrono::milliseconds{0});
+    metrics_.addBytesOut(reply.size());
 }
 
 std::string
@@ -327,10 +294,11 @@ Server::renderMetrics() const
 void
 Server::serveConnection(int fd)
 {
+    SocketTransport transport(fd);
     auto conn = std::make_shared<Connection>();
 
     // Writer: flush responses in request order as they complete.
-    std::thread writer([this, fd, conn] {
+    std::thread writer([this, fd, conn, &transport] {
         for (;;) {
             std::shared_ptr<Slot> slot;
             {
@@ -349,7 +317,8 @@ Server::serveConnection(int fd)
             conn->cv.notify_all(); // reader may be waiting on the window
             const std::string bytes =
                 encodeFrame(slot->response.type, slot->response.payload);
-            if (!writeAll(fd, bytes)) {
+            if (!transport.send(bytes, std::chrono::milliseconds{0})
+                     .ok()) {
                 {
                     std::lock_guard<std::mutex> lock(conn->mutex);
                     conn->dead = true;
@@ -365,31 +334,20 @@ Server::serveConnection(int fd)
 
     std::string buf;
     bool sniffed = false;
-    char chunk[4096];
+    bool http = false;
     for (;;) {
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break; // EOF (or drain's shutdown(SHUT_RD))
-        metrics_.addBytesIn(static_cast<std::uint64_t>(n));
-        buf.append(chunk, static_cast<std::size_t>(n));
+        auto got = transport.recv(std::chrono::milliseconds{0});
+        if (!got.ok() || got.value().empty())
+            break; // EOF, reset, or drain's shutdown(SHUT_RD)
+        metrics_.addBytesIn(got.value().size());
+        buf += got.value();
 
         if (!sniffed && buf.size() >= 4) {
             sniffed = true;
-            if (buf.compare(0, 4, "GET ") == 0) {
-                // Plaintext metrics ride the binary port.
-                {
-                    std::lock_guard<std::mutex> lock(conn->mutex);
-                    conn->noMoreRequests = true;
-                }
-                conn->cv.notify_all();
-                writer.join();
-                serveMetricsHttp(fd, std::move(buf));
-                ::shutdown(fd, SHUT_RDWR);
-                ::close(fd);
-                return;
-            }
+            // Plaintext metrics ride the binary port.
+            http = buf.compare(0, 4, "GET ") == 0;
+            if (http)
+                break;
         }
 
         bool fatalFraming = false;
@@ -466,8 +424,17 @@ Server::serveConnection(int fd)
     }
     conn->cv.notify_all();
     writer.join(); // flushes every accepted request's response
+    if (http)
+        serveMetricsHttp(transport, std::move(buf));
     ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
+
+    // Forget the descriptor before closing it: once closed, accept()
+    // may hand its number to a new connection, whose entry the erase
+    // must not take and whose socket drain() must still shut down.
+    std::lock_guard<std::mutex> forget(connMutex_);
+    connFds_.erase(std::remove(connFds_.begin(), connFds_.end(), fd),
+                   connFds_.end());
+    transport.close();
 }
 
 void

@@ -45,6 +45,7 @@
 #include "runtime/thread_pool.hh"
 #include "server/handler.hh"
 #include "server/metrics.hh"
+#include "server/transport.hh"
 
 namespace bvf::server
 {
@@ -126,7 +127,7 @@ class Server
 
     void acceptLoop();
     void serveConnection(int fd);
-    void serveMetricsHttp(int fd, std::string already);
+    void serveMetricsHttp(Transport &transport, std::string already);
     Result<int> listenTcp();
     Result<int> listenUnix();
 

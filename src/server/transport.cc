@@ -1,20 +1,17 @@
 /**
  * @file
- * SocketTransport: poll()-bounded socket I/O.
+ * SocketTransport: poll()-bounded socket I/O, and readFrame().
  *
- * Moved out of fleet/worker_client.cc so both the client and the
- * server share one deadline discipline: every blocking step -- connect,
- * write, read -- rides poll() with the remaining budget, so a peer that
- * was SIGKILLed mid-request surfaces as Timeout (or Io on a reset)
+ * The server, the fleet's WorkerClient and bvf_client share this one
+ * deadline discipline: every blocking step -- connect, write, read --
+ * rides poll() with the remaining budget, so a peer that was
+ * SIGKILLed mid-request surfaces as Timeout (or Io on a reset)
  * instead of hanging the caller.
  */
 
 #include "server/transport.hh"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
+#include <netdb.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -102,7 +99,7 @@ finishConnect(int fd, int rc, const std::string &what,
                                               what.c_str(),
                                               std::strerror(err))};
     }
-    return TransportPtr(new SocketTransport(fd, /*owned=*/true));
+    return TransportPtr(new SocketTransport(fd));
 }
 
 } // namespace
@@ -160,8 +157,7 @@ SocketTransport::close()
 {
     if (fd_ < 0)
         return;
-    if (owned_)
-        ::close(fd_);
+    ::close(fd_);
     fd_ = -1;
 }
 
@@ -170,21 +166,34 @@ SocketTransport::dialTcp(const std::string &host, int port,
                          std::chrono::milliseconds deadline)
 {
     const auto start = SteadyClock::now();
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    if (fd < 0)
-        return Error{ErrorCode::Io, "socket(): out of descriptors"};
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        ::close(fd);
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("bad address '%s'", host.c_str())};
+    addrinfo hints{};
+    hints.ai_family = AF_UNSPEC;
+    hints.ai_socktype = SOCK_STREAM;
+    hints.ai_flags = AI_NUMERICSERV;
+    addrinfo *res = nullptr;
+    const int rc = ::getaddrinfo(host.c_str(), std::to_string(port).c_str(),
+                                 &hints, &res);
+    if (rc != 0) {
+        return Error{ErrorCode::Io, strFormat("cannot resolve %s: %s",
+                                              host.c_str(),
+                                              ::gai_strerror(rc))};
     }
-    const int rc =
-        ::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr));
-    return finishConnect(fd, rc, strFormat("%s:%d", host.c_str(), port),
-                         start, deadline);
+    const std::string what = strFormat("%s:%d", host.c_str(), port);
+    Result<TransportPtr> dialed =
+        Error{ErrorCode::Io, "no address for " + what};
+    for (addrinfo *ai = res; ai && !dialed.ok(); ai = ai->ai_next) {
+        const int fd = ::socket(ai->ai_family,
+                                ai->ai_socktype | SOCK_NONBLOCK,
+                                ai->ai_protocol);
+        if (fd < 0) {
+            dialed = Error{ErrorCode::Io, "socket(): out of descriptors"};
+            continue;
+        }
+        const int connected = ::connect(fd, ai->ai_addr, ai->ai_addrlen);
+        dialed = finishConnect(fd, connected, what, start, deadline);
+    }
+    ::freeaddrinfo(res);
+    return dialed;
 }
 
 Result<TransportPtr>
@@ -206,6 +215,37 @@ SocketTransport::dialUnix(const std::string &path,
     const int rc =
         ::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr));
     return finishConnect(fd, rc, "unix:" + path, start, deadline);
+}
+
+Result<Frame>
+readFrame(Transport &transport, std::string &buf,
+          std::chrono::milliseconds budget, Clock &clock)
+{
+    const auto start = clock.now();
+    for (;;) {
+        std::size_t consumed = 0;
+        auto parsed = parseFrame(buf, consumed);
+        if (parsed.ok()) {
+            buf.erase(0, consumed);
+            return parsed;
+        }
+        if (parsed.error().code != ErrorCode::Truncated)
+            return parsed; // the stream offset is unreliable now
+        auto left = std::chrono::milliseconds{-1}; // forever
+        if (budget.count() >= 0) {
+            left = budget
+                   - std::chrono::duration_cast<std::chrono::milliseconds>(
+                       clock.now() - start);
+            if (left.count() <= 0)
+                return Error{ErrorCode::Timeout, "response deadline expired"};
+        }
+        auto got = transport.recv(left);
+        if (!got.ok())
+            return got.error();
+        if (got.value().empty())
+            return Error{ErrorCode::Io, "peer hung up mid-frame"};
+        buf.append(got.value());
+    }
 }
 
 } // namespace bvf::server

@@ -1,20 +1,20 @@
 /**
  * @file
- * Byte-stream transport seam.
+ * Byte-stream transport seam and the one frame reader.
  *
- * Both sides of the wire protocol used to talk to raw file descriptors
- * directly, which meant every fault a transport can exhibit -- a frame
- * truncated inside its CRC, a duplicated response, a connection reset
- * mid-write -- could only be provoked with real sockets and real
- * processes. Transport is the seam: the coordinator's WorkerClient and
- * the server's per-connection loops move bytes through this interface,
- * SocketTransport is the production poll()-driven implementation, and
- * the simulation harness (sim/sim_net.hh) substitutes an in-memory one
- * whose fault schedule is driven from a seed.
+ * Every byte bvfd and its clients move goes through Transport: the
+ * server's per-connection reader, response writer and /metrics reply,
+ * the fleet's WorkerClient, and bvf_client. SocketTransport is the
+ * production poll()-bounded implementation; the simulation harness
+ * (sim/sim_net.hh) substitutes an in-memory one whose fault schedule
+ * is driven from a seed, so a frame truncated inside its CRC, a
+ * duplicated response or a reset mid-write can be provoked without
+ * real sockets. readFrame() is the one "parse, read more, parse
+ * again" loop every client uses.
  *
  * Semantics both implementations honour:
  *  - send() writes the whole buffer or fails; a deadline of <= 0ms
- *    means "block forever".
+ *    means "block forever". It never raises SIGPIPE.
  *  - recv() returns at least one byte, or an empty string on orderly
  *    EOF, or an error (Timeout when the budget ran out, Io on reset).
  *  - full-duplex: one thread may sit in recv() while another send()s;
@@ -29,7 +29,9 @@
 #include <string>
 #include <string_view>
 
+#include "common/clock.hh"
 #include "common/result.hh"
+#include "server/protocol.hh"
 
 namespace bvf::server
 {
@@ -61,15 +63,8 @@ using TransportPtr = std::unique_ptr<Transport>;
 class SocketTransport final : public Transport
 {
   public:
-    /**
-     * Wrap @p fd. When @p owned, close() (and the destructor) close
-     * the descriptor; a non-owning wrapper leaves lifetime with the
-     * caller (the server's connection loop owns its fd elsewhere).
-     */
-    explicit SocketTransport(int fd, bool owned = true)
-        : fd_(fd), owned_(owned)
-    {
-    }
+    /** Take ownership of @p fd: close() and the destructor close it. */
+    explicit SocketTransport(int fd) : fd_(fd) {}
 
     ~SocketTransport() override { close(); }
 
@@ -81,11 +76,11 @@ class SocketTransport final : public Transport
     Result<std::string> recv(std::chrono::milliseconds deadline) override;
     void close() override;
 
-    int fd() const { return fd_; }
-
     /**
-     * Deadline-bounded non-blocking connect to @p host:@p port
-     * (IPv4 dotted quad).
+     * Deadline-bounded non-blocking connect to @p host:@p port. The
+     * host is resolved with getaddrinfo() (a name, an IPv4 or an IPv6
+     * literal) and each address is tried in order within the one
+     * deadline.
      */
     static Result<TransportPtr>
     dialTcp(const std::string &host, int port,
@@ -97,8 +92,18 @@ class SocketTransport final : public Transport
 
   private:
     int fd_ = -1;
-    bool owned_ = true;
 };
+
+/**
+ * Read one frame from @p transport into @p buf: parse what @p buf
+ * holds, and while it is Truncated recv() more, spending at most
+ * @p budget as measured on @p clock (< 0 blocks forever, 0 is already
+ * spent). The frame's bytes leave @p buf; any bytes past it stay.
+ * Framing damage comes back as parseFrame's error, a spent budget as
+ * Timeout, and EOF mid-frame as Io.
+ */
+Result<Frame> readFrame(Transport &transport, std::string &buf,
+                        std::chrono::milliseconds budget, Clock &clock);
 
 } // namespace bvf::server
 

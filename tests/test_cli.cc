@@ -3,18 +3,25 @@
  * Tests for the shared CLI parsing layer: strict whole-token numeric
  * conversion, range checks, the ArgStream cursor, and the canonical
  * diagnostics that bvf_sim and bvf_lint both relied on before the
- * parser was unified.
+ * parser was unified; plus bvf_client's transport paths (retries
+ * against a refusing port, a resolved host name) against a real
+ * in-process daemon.
  */
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/cli.hh"
+#include "common/logging.hh"
+#include "server/server.hh"
 
 namespace bvf::cli
 {
@@ -223,6 +230,54 @@ TEST(ExitTwo, ClientValidatesSubmitAndEvalArguments)
     EXPECT_EQ(runTool("bvf_client", "ping --eval", out), kExitUsage);
     EXPECT_NE(out.find("--eval only applies to the submit command"),
               std::string::npos)
+        << out;
+}
+
+TEST(Client, RefusedConnectionRetriesThenGivesUp)
+{
+    // Bound but never listening: every connect is refused.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr *>(&addr),
+                            &len),
+              0);
+    const int port = ntohs(addr.sin_port);
+
+    std::string out;
+    EXPECT_EQ(runTool("bvf_client",
+                      strFormat("--port %d --retries 1 --backoff-ms 0 "
+                                "ping",
+                                port),
+                      out),
+              1)
+        << out;
+    EXPECT_NE(out.find("gave up after 2 attempt(s)"), std::string::npos)
+        << out;
+    ::close(fd);
+}
+
+TEST(Client, PipelinedPingsReachADaemonByHostName)
+{
+    server::ServerOptions options;
+    options.workers = 2;
+    server::Server daemon(options);
+    ASSERT_TRUE(daemon.start().ok());
+
+    std::string out;
+    EXPECT_EQ(runTool("bvf_client",
+                      strFormat("--host localhost --port %d ping 3",
+                                daemon.port()),
+                      out),
+              0)
+        << out;
+    EXPECT_NE(out.find("3 ping(s) echoed in order"), std::string::npos)
         << out;
 }
 

@@ -3,7 +3,9 @@
  * End-to-end daemon tests over real sockets: ping round-trips, strict
  * in-order pipelined batches, the one-ErrorResponse-then-hangup framing
  * policy, semantic errors that keep the connection alive, the HTTP
- * /metrics ride-along, Unix-socket service, and graceful drain.
+ * /metrics ride-along, Unix-socket service, graceful drain, a client
+ * reset that must not raise SIGPIPE in the host, and the one frame
+ * reader (readFrame) over a scripted Transport.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "isa/asm.hh"
 #include "isa/bytecode.hh"
@@ -26,6 +29,7 @@
 #include "server/kernel_store.hh"
 #include "server/protocol.hh"
 #include "server/server.hh"
+#include "server/transport.hh"
 
 namespace bvf::server
 {
@@ -70,6 +74,16 @@ class TestClient
 
     TestClient(const TestClient &) = delete;
     TestClient &operator=(const TestClient &) = delete;
+
+    /** Close with SO_LINGER {1, 0}: the server sees a reset, not EOF. */
+    void
+    reset()
+    {
+        const linger hard = {1, 0};
+        ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+        ::close(fd_);
+        fd_ = -1;
+    }
 
     void
     send(const std::string &bytes)
@@ -399,6 +413,46 @@ TEST(Server, WaitForStopUnblocksOnRequestStop)
     server.drain();
 }
 
+/**
+ * Serve four pipelined pings through a 200 ms handler to a client that
+ * resets once they are read, then exit 0 -- unless the pending
+ * responses raise SIGPIPE, whose default action kills the process.
+ */
+[[noreturn]] void
+surviveAResetWithResponsesPending()
+{
+    std::signal(SIGPIPE, SIG_DFL);
+    ServerOptions options = smallServer();
+    options.handler = [](const Frame &request) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        return Frame{MsgType::PingResponse, request.payload};
+    };
+    Server server(options);
+    if (!server.start().ok())
+        std::exit(2);
+    TestClient client(server.port());
+    client.send(pingBytes(1) + pingBytes(2) + pingBytes(3) + pingBytes(4));
+    // Reset only once the server has read all four: a reset that
+    // overtakes the requests would leave no response to send.
+    for (int waited = 0; server.metrics().requestsTotal() < 4; ++waited) {
+        if (waited == 5000)
+            std::exit(3);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    client.reset();
+    server.drain();
+    std::exit(0);
+}
+
+TEST(ServerDeathTest, ClientResetWithResponsesPendingSparesTheHost)
+{
+    // A program embedding Server with SIGPIPE at its default (the test
+    // binaries, bvfbench) must outlive such a client.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(surviveAResetWithResponsesPending(),
+                ::testing::ExitedWithCode(0), "");
+}
+
 TEST(Server, DrainAnswersEverythingThenClosesConnections)
 {
     Server server(smallServer());
@@ -667,6 +721,145 @@ TEST(Server, KernelStoreCountersRideAlongInMetrics)
           "bvfd_responses_total{type=\"submit_kernel\"} 1"}) {
         EXPECT_NE(text.find(needle), std::string::npos) << needle;
     }
+}
+
+/** Manual time: moves only when the scripted transport says so. */
+class ManualClock final : public Clock
+{
+  public:
+    time_point now() override { return now_; }
+    void sleepFor(std::chrono::milliseconds d) override { now_ += d; }
+
+  private:
+    time_point now_{};
+};
+
+/**
+ * Transport whose recv() replays @p chunks in order (then EOF),
+ * advancing @p clock by @p perRecv on each call.
+ */
+class ScriptedTransport final : public Transport
+{
+  public:
+    ScriptedTransport(std::vector<std::string> chunks, Clock &clock,
+                      std::chrono::milliseconds perRecv = {})
+        : chunks_(std::move(chunks)), clock_(clock), perRecv_(perRecv)
+    {
+    }
+
+    Result<void>
+    send(std::string_view, std::chrono::milliseconds) override
+    {
+        return {};
+    }
+
+    Result<std::string>
+    recv(std::chrono::milliseconds) override
+    {
+        ++recvCalls;
+        clock_.sleepFor(perRecv_);
+        if (next_ == chunks_.size())
+            return std::string(); // EOF
+        return chunks_[next_++];
+    }
+
+    void close() override {}
+
+    int recvCalls = 0;
+
+  private:
+    std::vector<std::string> chunks_;
+    std::size_t next_ = 0;
+    Clock &clock_;
+    std::chrono::milliseconds perRecv_;
+};
+
+const std::chrono::milliseconds kForever{-1};
+
+std::uint64_t
+nonceOf(const Result<Frame> &frame)
+{
+    EXPECT_TRUE(frame.ok());
+    if (!frame.ok())
+        return 0;
+    const auto ping = Ping::decode(frame.value().payload);
+    EXPECT_TRUE(ping.ok());
+    return ping.ok() ? ping.value().nonce : 0;
+}
+
+TEST(ReadFrame, ReassemblesAFrameDeliveredOneBytePerRecv)
+{
+    const std::string bytes = pingBytes(7);
+    std::vector<std::string> chunks;
+    for (const char c : bytes)
+        chunks.emplace_back(1, c);
+    ManualClock clock;
+    ScriptedTransport transport(chunks, clock);
+    std::string buf;
+    EXPECT_EQ(nonceOf(readFrame(transport, buf, kForever, clock)), 7u);
+    EXPECT_EQ(transport.recvCalls, static_cast<int>(bytes.size()));
+    EXPECT_TRUE(buf.empty());
+}
+
+TEST(ReadFrame, LeavesTheSecondOfTwoCoalescedFramesInTheBuffer)
+{
+    ManualClock clock;
+    ScriptedTransport transport({pingBytes(1) + pingBytes(2)}, clock);
+    std::string buf;
+    EXPECT_EQ(nonceOf(readFrame(transport, buf, kForever, clock)), 1u);
+    EXPECT_EQ(buf, pingBytes(2));
+    // The second frame parses from the buffer without another recv().
+    EXPECT_EQ(nonceOf(readFrame(transport, buf, kForever, clock)), 2u);
+    EXPECT_EQ(transport.recvCalls, 1);
+    EXPECT_TRUE(buf.empty());
+}
+
+TEST(ReadFrame, EofMidFrameIsIo)
+{
+    ManualClock clock;
+    ScriptedTransport transport({pingBytes(1).substr(0, 5)}, clock);
+    std::string buf;
+    const auto frame = readFrame(transport, buf, kForever, clock);
+    ASSERT_FALSE(frame.ok());
+    EXPECT_EQ(frame.error().code, ErrorCode::Io);
+    EXPECT_EQ(transport.recvCalls, 2);
+}
+
+TEST(ReadFrame, FramingDamageReturnsWithoutAnotherRecv)
+{
+    std::string damaged = pingBytes(1);
+    damaged.back() ^= 0x40; // payload byte: the CRC no longer matches
+    ManualClock clock;
+    ScriptedTransport transport({damaged, pingBytes(2)}, clock);
+    std::string buf;
+    const auto frame = readFrame(transport, buf, kForever, clock);
+    ASSERT_FALSE(frame.ok());
+    EXPECT_EQ(frame.error().code, ErrorCode::Corrupt);
+    EXPECT_EQ(transport.recvCalls, 1);
+}
+
+TEST(ReadFrame, SpentBudgetTimesOutWithoutCallingRecv)
+{
+    ManualClock clock;
+    ScriptedTransport idle({pingBytes(1)}, clock);
+    std::string buf;
+    auto frame =
+        readFrame(idle, buf, std::chrono::milliseconds{0}, clock);
+    ASSERT_FALSE(frame.ok());
+    EXPECT_EQ(frame.error().code, ErrorCode::Timeout);
+    EXPECT_EQ(idle.recvCalls, 0);
+
+    // A 30 ms budget buys three 10 ms one-byte reads, then no more.
+    const std::string bytes = pingBytes(1);
+    std::vector<std::string> chunks;
+    for (const char c : bytes)
+        chunks.emplace_back(1, c);
+    ScriptedTransport slow(chunks, clock, std::chrono::milliseconds{10});
+    frame = readFrame(slow, buf, std::chrono::milliseconds{30}, clock);
+    ASSERT_FALSE(frame.ok());
+    EXPECT_EQ(frame.error().code, ErrorCode::Timeout);
+    EXPECT_EQ(slow.recvCalls, 3);
+    EXPECT_EQ(buf, bytes.substr(0, 3));
 }
 
 } // namespace
