@@ -61,11 +61,11 @@
 #include <sstream>
 
 #include "analysis/verifier.hh"
-#include "circuit/mem_cell.hh"
 #include "coder/bvf_space.hh"
 #include "coder/scenario.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
+#include "core/setup.hh"
 #include "isa/asm.hh"
 #include "isa/bytecode.hh"
 #include "server/protocol.hh"
@@ -85,14 +85,8 @@ struct Options
     std::string command;
     std::vector<std::string> args;
 
-    AppQuery query;
+    core::RunSetup setup;
     std::uint64_t isaMask = 0;
-    std::uint8_t node = 0;
-    std::uint8_t pstate = 0;
-    std::uint8_t cell = static_cast<std::uint8_t>(
-        circuit::CellKind::SramBvf8T);
-    std::uint8_t ecc = 0;
-    std::uint32_t cellsBitline = 128;
 
     int retries = 0;      //!< transport retries after the first try
     int backoffMs = 100;  //!< first retry delay, doubled per retry
@@ -133,80 +127,18 @@ parse(int argc, char **argv)
     cli::ArgStream args(argc, argv);
     std::string arg;
     while (args.next(arg)) {
-        if (arg == "--host") {
+        if (core::parseSetupFlag(arg, args, o.setup)) {
+            // one of the nine run-setup flags
+        } else if (arg == "--host") {
             o.host = args.value(arg);
         } else if (arg == "--port") {
             o.port = cli::parseInteger(arg, args.value(arg), 1, 65535);
         } else if (arg == "--unix") {
             o.unixPath = args.value(arg);
-        } else if (arg == "--arch") {
-            const auto v = args.value(arg);
-            if (v == "fermi")
-                o.query.arch = 0;
-            else if (v == "kepler")
-                o.query.arch = 1;
-            else if (v == "maxwell")
-                o.query.arch = 2;
-            else if (v == "pascal")
-                o.query.arch = 3;
-            else
-                cli::badChoice(arg, v, "fermi, kepler, maxwell, pascal");
-        } else if (arg == "--sched") {
-            const auto v = args.value(arg);
-            if (v == "gto")
-                o.query.sched = 0;
-            else if (v == "lrr")
-                o.query.sched = 1;
-            else if (v == "two")
-                o.query.sched = 2;
-            else
-                cli::badChoice(arg, v, "gto, lrr, two");
-        } else if (arg == "--pivot") {
-            o.query.vsPivot = static_cast<std::uint32_t>(
-                cli::parseInteger(arg, args.value(arg), 0, 31));
-        } else if (arg == "--dynamic-isa") {
-            o.query.dynamicIsa = 1;
         } else if (arg == "--mask") {
             o.isaMask = parseHex64(arg, args.value(arg));
-        } else if (arg == "--node") {
-            const auto v = args.value(arg);
-            if (v == "28")
-                o.node = 0;
-            else if (v == "40")
-                o.node = 1;
-            else
-                cli::badChoice(arg, v, "28, 40");
-        } else if (arg == "--pstate") {
-            const auto v = args.value(arg);
-            if (v == "700")
-                o.pstate = 0;
-            else if (v == "500")
-                o.pstate = 1;
-            else if (v == "300")
-                o.pstate = 2;
-            else
-                cli::badChoice(arg, v, "700, 500, 300");
-        } else if (arg == "--cell") {
-            const auto v = args.value(arg);
-            if (v == "6t")
-                o.cell = 0;
-            else if (v == "8t")
-                o.cell = 1;
-            else if (v == "bvf8t")
-                o.cell = 2;
-            else if (v == "bvf6t")
-                o.cell = 3;
-            else if (v == "edram")
-                o.cell = 4;
-            else
-                cli::badChoice(arg, v, "bvf8t, bvf6t, 8t, 6t, edram");
-        } else if (arg == "--ecc") {
-            o.ecc = 1;
         } else if (arg == "--eval") {
             o.evalAfterSubmit = true;
-        } else if (arg == "--cells-bitline") {
-            o.cellsBitline = static_cast<std::uint32_t>(
-                cli::parseInteger(arg, args.value(arg), 1, 8192));
         } else if (arg == "--retries") {
             o.retries = cli::parseInteger(arg, args.value(arg), 0, 100);
         } else if (arg == "--backoff-ms") {
@@ -342,8 +274,10 @@ cmdEvalCoder(const Options &o, Transport &t)
         req.coder = CoderKind::Isa;
     else
         cli::badChoice("eval-coder", kind, "identity, nv, vs, isa");
-    req.arch = o.query.arch;
-    req.vsPivot = o.query.vsPivot;
+    AppQuery machine;
+    toWire(o.setup, machine);
+    req.arch = machine.arch;
+    req.vsPivot = machine.vsPivot;
     req.isaMask = o.isaMask;
     for (std::size_t i = 1; i < o.args.size(); ++i)
         req.words.push_back(parseHex64("eval-coder word", o.args[i]));
@@ -377,7 +311,8 @@ queryFor(const Options &o)
 {
     fatal_if(o.args.empty(), "%s needs an application abbreviation",
              o.command.c_str());
-    AppQuery q = o.query;
+    AppQuery q;
+    toWire(o.setup, q);
     q.abbr = o.args[0];
     return q;
 }
@@ -420,12 +355,8 @@ int
 cmdEnergy(const Options &o, Transport &t)
 {
     ChipEnergyRequest req;
+    toWire(o.setup, req);
     req.query = queryFor(o);
-    req.node = o.node;
-    req.pstate = o.pstate;
-    req.cell = o.cell;
-    req.ecc = o.ecc;
-    req.cellsBitline = o.cellsBitline;
     const Frame frame =
         roundTrip(o, t, MsgType::ChipEnergyRequest, req.encode());
     const auto resp = ChipEnergyResponse::decode(frame.payload);
@@ -577,15 +508,7 @@ evalByDigest(const Options &o, Transport &t, const std::string &digest)
 {
     EvalSubmittedRequest req;
     req.digest = digest;
-    req.arch = o.query.arch;
-    req.sched = o.query.sched;
-    req.vsPivot = o.query.vsPivot;
-    req.dynamicIsa = o.query.dynamicIsa;
-    req.node = o.node;
-    req.pstate = o.pstate;
-    req.cell = o.cell;
-    req.ecc = o.ecc;
-    req.cellsBitline = o.cellsBitline;
+    toWire(o.setup, req);
     const Frame frame =
         roundTrip(o, t, MsgType::EvalSubmittedRequest, req.encode());
     const auto resp = EvalSubmittedResponse::decode(frame.payload);

@@ -53,6 +53,7 @@
 #include "analysis/verifier.hh"
 #include "common/cli.hh"
 #include "common/json.hh"
+#include "core/setup.hh"
 #include "workload/kernel_builder.hh"
 
 using namespace bvf;
@@ -109,17 +110,8 @@ parse(int argc, char **argv)
             // The linter's diagnostics are architecture-independent,
             // but --advise specializes the ISA mask per architecture,
             // and typos should fail loudly either way.
-            const auto v = args.value(arg);
-            if (v == "fermi")
-                opt.arch = isa::GpuArch::Fermi;
-            else if (v == "kepler")
-                opt.arch = isa::GpuArch::Kepler;
-            else if (v == "maxwell")
-                opt.arch = isa::GpuArch::Maxwell;
-            else if (v == "pascal")
-                opt.arch = isa::GpuArch::Pascal;
-            else
-                cli::badChoice(arg, v, "fermi, kepler, maxwell, pascal");
+            opt.arch =
+                core::parseChoice(arg, args.value(arg), core::kArchChoices);
         } else if (arg == "--advise") {
             opt.advise = true;
         } else if (arg == "--verify") {

@@ -82,6 +82,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/experiment.hh"
+#include "core/setup.hh"
 #include "core/trace.hh"
 #include "fault/fault_sink.hh"
 #include "workload/kernel_builder.hh"
@@ -101,18 +102,8 @@ enum class GoldenMode
 
 struct Options
 {
-    circuit::TechNode node = circuit::TechNode::N28;
-    gpu::PState pstate = gpu::pstateNominal();
-    gpu::SchedulerPolicy sched = gpu::SchedulerPolicy::Gto;
-    circuit::CellKind cell = circuit::CellKind::SramBvf8T;
-    isa::GpuArch arch = isa::GpuArch::Pascal;
-    int pivot = 21;
-    bool dynamicIsa = false;
+    core::RunSetup setup;
     std::string traceFile;
-    double faultRate = 0.0;
-    std::uint64_t faultSeed = 1;
-    bool ecc = false;
-    int cellsBitline = 128;
     std::vector<std::string> apps;
     bool list = false;
     bool analyze = false;
@@ -168,74 +159,14 @@ parse(int argc, char **argv)
     std::string arg;
     while (args.next(arg)) {
         auto next = [&]() { return args.value(arg); };
-        if (arg == "--node") {
-            const auto v = next();
-            if (v == "40")
-                o.node = circuit::TechNode::N40;
-            else if (v == "28")
-                o.node = circuit::TechNode::N28;
-            else
-                badChoice(arg, v, "28, 40");
-        } else if (arg == "--pstate") {
-            const auto v = next();
-            if (v == "300")
-                o.pstate = gpu::pstateLow();
-            else if (v == "500")
-                o.pstate = gpu::pstateMid();
-            else if (v == "700")
-                o.pstate = gpu::pstateNominal();
-            else
-                badChoice(arg, v, "700, 500, 300");
-        } else if (arg == "--sched") {
-            const auto v = next();
-            if (v == "lrr")
-                o.sched = gpu::SchedulerPolicy::Lrr;
-            else if (v == "two")
-                o.sched = gpu::SchedulerPolicy::TwoLevel;
-            else if (v == "gto")
-                o.sched = gpu::SchedulerPolicy::Gto;
-            else
-                badChoice(arg, v, "gto, lrr, two");
-        } else if (arg == "--cell") {
-            const auto v = next();
-            if (v == "8t")
-                o.cell = circuit::CellKind::Sram8T;
-            else if (v == "6t")
-                o.cell = circuit::CellKind::Sram6T;
-            else if (v == "bvf6t")
-                o.cell = circuit::CellKind::SramBvf6T;
-            else if (v == "edram")
-                o.cell = circuit::CellKind::Edram3T;
-            else if (v == "bvf8t")
-                o.cell = circuit::CellKind::SramBvf8T;
-            else
-                badChoice(arg, v, "bvf8t, bvf6t, 8t, 6t, edram");
-        } else if (arg == "--arch") {
-            const auto v = next();
-            if (v == "fermi")
-                o.arch = isa::GpuArch::Fermi;
-            else if (v == "kepler")
-                o.arch = isa::GpuArch::Kepler;
-            else if (v == "maxwell")
-                o.arch = isa::GpuArch::Maxwell;
-            else if (v == "pascal")
-                o.arch = isa::GpuArch::Pascal;
-            else
-                badChoice(arg, v, "fermi, kepler, maxwell, pascal");
-        } else if (arg == "--pivot") {
-            o.pivot = parseInteger(arg, next(), 0, 31);
-        } else if (arg == "--dynamic-isa") {
-            o.dynamicIsa = true;
+        if (core::parseSetupFlag(arg, args, o.setup)) {
+            // one of the nine run-setup flags
         } else if (arg == "--trace") {
             o.traceFile = next();
         } else if (arg == "--fault-rate") {
-            o.faultRate = parseNumber(arg, next(), 0.0, 1.0);
+            o.setup.softErrorRate = parseNumber(arg, next(), 0.0, 1.0);
         } else if (arg == "--fault-seed") {
-            o.faultSeed = parseU64(arg, next());
-        } else if (arg == "--ecc") {
-            o.ecc = true;
-        } else if (arg == "--cells-bitline") {
-            o.cellsBitline = parseInteger(arg, next(), 1, 8192);
+            o.setup.faultSeed = parseU64(arg, next());
         } else if (arg == "--log-level") {
             const auto v = next();
             LogLevel level;
@@ -298,34 +229,19 @@ parse(int argc, char **argv)
         dieUsage("--trace is not supported in campaign mode");
     if (o.analyze && o.campaign)
         dieUsage("--analyze is a static mode; campaign flags do not apply");
-    if (o.checkStatic && o.ecc)
+    if (o.checkStatic && o.setup.ecc)
         dieUsage("--check-static is incompatible with --ecc");
-    if (o.checkStatic && o.faultRate > 0.0)
+    if (o.checkStatic && o.setup.softErrorRate > 0.0)
         dieUsage("--check-static is incompatible with --fault-rate");
-    if (o.checkAdvice && o.ecc)
+    if (o.checkAdvice && o.setup.ecc)
         dieUsage("--check-advice is incompatible with --ecc");
-    if (o.checkAdvice && o.faultRate > 0.0)
+    if (o.checkAdvice && o.setup.softErrorRate > 0.0)
         dieUsage("--check-advice is incompatible with --fault-rate");
     if (o.checkAdvice && o.campaign)
         dieUsage("--check-advice is not supported in campaign mode");
     if (o.checkAdvice && o.analyze)
         dieUsage("--check-advice needs a simulation; drop --analyze");
     return o;
-}
-
-/** The fault configuration both modes share (soft errors + disturb). */
-fault::FaultConfig
-faultConfigFor(const Options &o)
-{
-    fault::FaultConfig cfg;
-    cfg.seed = o.faultSeed;
-    cfg.softErrorRate = o.faultRate;
-    cfg.readDisturbRate = fault::readDisturbFlipProbability(
-        o.cell, o.node, o.pstate.vdd, o.cellsBitline);
-    cfg.ecc = o.ecc ? fault::EccScheme::Secded72_64
-                    : fault::EccScheme::None;
-    cfg.enabled = o.faultRate > 0.0 || cfg.readDisturbRate > 0.0;
-    return cfg;
 }
 
 /** Resolve the app list ("all" expands; duplicates dropped). */
@@ -362,10 +278,8 @@ resolveApps(const std::vector<std::string> &names)
 int
 runCampaign(const Options &o)
 {
-    gpu::GpuConfig config = gpu::baselineConfig();
-    config.scheduler = o.sched;
-    config.arch = o.arch;
-    core::ExperimentDriver driver(config);
+    const core::ExperimentDriver driver(o.setup.machine());
+    const core::RunPlan plan = o.setup.campaignPlan();
 
     campaign::CampaignOptions copts;
     copts.journalPath = o.journalFile;
@@ -374,17 +288,9 @@ runCampaign(const Options &o)
         static_cast<long long>(o.appTimeoutSec * 1000.0));
     copts.maxRetries = o.maxRetries;
     copts.jobs = o.jobs;
-    copts.run.dynamicIsa = o.dynamicIsa;
-    copts.run.vsRegisterPivot = o.pivot;
-    copts.run.fault = faultConfigFor(o);
+    copts.run = plan.run;
     copts.run.checkStatic = o.checkStatic;
-    copts.pricing.node = o.node;
-    copts.pricing.pstate = o.pstate;
-    copts.pricing.cellKind = o.cell;
-    copts.pricing.ecc = o.ecc;
-    copts.pricing.cellsPerBitline = o.cellsBitline;
-    copts.pricing.allowUnreliableCells =
-        copts.run.fault.readDisturbRate > 0.0;
+    copts.pricing = plan.pricing;
 
     const auto specs = resolveApps(o.apps);
     campaign::CampaignRunner runner(driver, copts);
@@ -397,9 +303,10 @@ runCampaign(const Options &o)
     // the canonical report, which must be resume-invariant).
     TextTable table(strFormat(
         "Campaign: %zu apps on %s / %s / %s cells / %s scheduler",
-        report.results.size(), circuit::techNodeName(o.node).c_str(),
-        o.pstate.name.c_str(), circuit::cellKindName(o.cell).c_str(),
-        gpu::schedulerName(o.sched).c_str()));
+        report.results.size(), circuit::techNodeName(o.setup.node).c_str(),
+        plan.pricing.pstate.name.c_str(),
+        circuit::cellKindName(o.setup.cell).c_str(),
+        gpu::schedulerName(o.setup.sched).c_str()));
     table.header({"Abbr", "Status", "Attempts", "Source", "Cycles",
                   "Chip[uJ]", "BVF saving"});
     for (const auto &r : report.results) {
@@ -479,20 +386,17 @@ runCampaign(const Options &o)
 std::size_t
 runAnalyze(const Options &o, const workload::AppSpec &spec)
 {
-    gpu::GpuConfig config = gpu::baselineConfig();
-    config.scheduler = o.sched;
-    config.arch = o.arch;
-
+    const gpu::GpuConfig config = o.setup.machine();
     isa::Program program = workload::buildProgram(spec);
     const auto findings = analysis::lintProgram(program);
 
     Word64 isa_mask = 0;
-    if (o.dynamicIsa) {
-        const isa::InstructionEncoder encoder(o.arch);
+    if (o.setup.dynamicIsa) {
+        const isa::InstructionEncoder encoder(config.arch);
         isa_mask = isa::extractPreferenceMask(encoder.encode(program.body));
     }
     const core::StaticReport report =
-        core::analyzeStatic(program, config, isa_mask, o.pivot);
+        core::analyzeStatic(program, config, isa_mask, o.setup.vsPivot);
 
     TextTable table(strFormat(
         "%s (%s): proven bit-1 density intervals (%zu instructions)",
@@ -539,19 +443,18 @@ runAnalyze(const Options &o, const workload::AppSpec &spec)
 void
 runOne(const Options &o, const workload::AppSpec &spec)
 {
-    gpu::GpuConfig config = gpu::baselineConfig();
-    config.scheduler = o.sched;
-    config.arch = o.arch;
-    core::ExperimentDriver driver(config);
+    const core::RunSetup &setup = o.setup;
+    const core::ExperimentDriver driver(setup.machine());
+    const gpu::GpuConfig &config = driver.config();
 
     core::AccountantOptions acc_opts;
-    acc_opts.arch = o.arch;
-    acc_opts.vsRegisterPivot = o.pivot;
-    acc_opts.eccAccounting = o.ecc;
+    acc_opts.arch = setup.arch;
+    acc_opts.vsRegisterPivot = setup.vsPivot;
+    acc_opts.eccAccounting = setup.ecc;
 
     isa::Program program = workload::buildProgram(spec);
-    if (o.dynamicIsa) {
-        const isa::InstructionEncoder encoder(o.arch);
+    if (setup.dynamicIsa) {
+        const isa::InstructionEncoder encoder(setup.arch);
         acc_opts.dynamicIsaMask =
             isa::extractPreferenceMask(encoder.encode(program.body));
     }
@@ -561,7 +464,8 @@ runOne(const Options &o, const workload::AppSpec &spec)
 
     // Fault model: explicit soft errors, plus the physics-derived
     // read-disturb rate if a BVF-6T machine was selected.
-    const fault::FaultConfig fault_cfg = faultConfigFor(o);
+    const core::RunPlan plan = setup.campaignPlan();
+    const fault::FaultConfig &fault_cfg = plan.run.fault;
 
     // The static report must precede the move of the program into the
     // machine, and its knobs must mirror the accountant's.
@@ -572,7 +476,7 @@ runOne(const Options &o, const workload::AppSpec &spec)
                  "(the selected cell arms the read-disturb model)");
         static_report = core::analyzeStatic(program, config,
                                             accountant->isaMask(),
-                                            o.pivot);
+                                            setup.vsPivot);
     }
 
     // The advisor, like the static report, must see the program before
@@ -583,7 +487,7 @@ runOne(const Options &o, const workload::AppSpec &spec)
                  "--check-advice is incompatible with fault injection "
                  "(the selected cell arms the read-disturb model)");
         analysis::AdvisorOptions advisor_opts;
-        advisor_opts.arch = o.arch;
+        advisor_opts.arch = setup.arch;
         advisor_opts.lineBytes = config.lineBytes;
         advice = analysis::adviseProgram(
             program, analysis::analyzeProgram(program), advisor_opts);
@@ -688,36 +592,31 @@ runOne(const Options &o, const workload::AppSpec &spec)
                     static_cast<unsigned long long>(sweep.accesses()));
     }
 
-    power::ChipModelOptions array_opts;
-    array_opts.ecc = o.ecc;
-    array_opts.cellsPerBitline = o.cellsBitline;
-    // A modelled read disturb is the only licence to price a BVF-6T
-    // array past its reliability limit.
-    array_opts.allowUnreliableCells = fault_cfg.readDisturbRate > 0.0;
-    power::ChipPowerModel model(o.node, o.pstate.vdd, o.pstate.frequency,
-                                o.cell, config, array_opts);
+    core::AppRun run;
+    run.gpuStats = stats;
+    run.accountant = accountant;
+    const core::AppEnergy energy = driver.evaluate(run, plan.pricing);
 
     TextTable table(strFormat(
         "%s (%s) on %s / %s / %s cells / %s scheduler",
         spec.name.c_str(), spec.abbr.c_str(),
-        circuit::techNodeName(o.node).c_str(), o.pstate.name.c_str(),
-        circuit::cellKindName(o.cell).c_str(),
-        gpu::schedulerName(o.sched).c_str()));
+        circuit::techNodeName(setup.node).c_str(),
+        plan.pricing.pstate.name.c_str(),
+        circuit::cellKindName(setup.cell).c_str(),
+        gpu::schedulerName(setup.sched).c_str()));
     table.header({"Scenario", "Chip[uJ]", "vs baseline", "Units[uJ]",
                   "NoC 1-density"});
     double base_chip = 0.0;
     for (const auto s : coder::allScenarios) {
         const auto &noc = accountant->noc(s);
-        const auto energy = model.evaluate(
-            accountant->unitStats(s), noc.toggles, noc.flits, stats,
-            s != coder::Scenario::Baseline);
+        const power::ChipEnergy &chip = energy.at(s);
         if (s == coder::Scenario::Baseline)
-            base_chip = energy.chipTotal();
+            base_chip = chip.chipTotal();
         table.row(
             {coder::scenarioName(s),
-             TextTable::num(energy.chipTotal() * 1e6, 3),
-             TextTable::pct(1.0 - energy.chipTotal() / base_chip),
-             TextTable::num(energy.bvfUnitsTotal() * 1e6, 3),
+             TextTable::num(chip.chipTotal() * 1e6, 3),
+             TextTable::pct(1.0 - chip.chipTotal() / base_chip),
+             TextTable::num(chip.bvfUnitsTotal() * 1e6, 3),
              noc.payloadBits
                  ? TextTable::pct(static_cast<double>(noc.payloadOnes)
                                   / static_cast<double>(noc.payloadBits))
@@ -725,13 +624,13 @@ runOne(const Options &o, const workload::AppSpec &spec)
     }
     table.print();
 
-    if (fault_sink || o.ecc) {
+    if (fault_sink || setup.ecc) {
         TextTable faults(strFormat(
             "Faults and ECC (seed %llu, soft %.2e, disturb %.2e, "
             "%d cells/bitline, %s)",
             static_cast<unsigned long long>(fault_cfg.seed),
             fault_cfg.softErrorRate, fault_cfg.readDisturbRate,
-            o.cellsBitline, fault::eccSchemeName(fault_cfg.ecc)));
+            setup.cellsBitline, fault::eccSchemeName(fault_cfg.ecc)));
         faults.header({"Unit", "Codewords", "Flips", "Corrected",
                        "Uncorrectable", "Silent", "Residual bits",
                        "Uncorr. rate"});

@@ -17,6 +17,7 @@
 #include "common/table.hh"
 #include "common/units.hh"
 #include "core/experiment.hh"
+#include "core/setup.hh"
 
 using namespace bvf;
 
@@ -29,16 +30,6 @@ struct Options
     circuit::TechNode node = circuit::TechNode::N28;
 };
 
-circuit::TechNode
-parseNode(const std::string &flag, const std::string &value)
-{
-    if (value == "28")
-        return circuit::TechNode::N28;
-    if (value == "40")
-        return circuit::TechNode::N40;
-    cli::badChoice(flag, value, "28, 40");
-}
-
 Options
 parse(int argc, char **argv)
 {
@@ -48,11 +39,13 @@ parse(int argc, char **argv)
     std::string arg;
     while (args.next(arg)) {
         if (arg == "--node") {
-            opt.node = parseNode(arg, args.value(arg));
+            opt.node = core::parseChoice(arg, args.value(arg),
+                                         core::kNodeChoices);
         } else if (arg.rfind("--", 0) == 0) {
             cli::dieUsage("unknown option '" + arg + "'");
-        } else if (arg == "28" || arg == "40") {
-            opt.node = parseNode("node", arg);
+        } else if (const auto node =
+                       core::lookupChoice(core::kNodeChoices, arg)) {
+            opt.node = *node;
         } else if (!have_app) {
             opt.abbr = arg;
             have_app = true;

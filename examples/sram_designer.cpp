@@ -20,22 +20,13 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "core/setup.hh"
 
 using namespace bvf;
 using circuit::CellKind;
 
 namespace
 {
-
-circuit::TechNode
-parseNode(const std::string &flag, const std::string &value)
-{
-    if (value == "28")
-        return circuit::TechNode::N28;
-    if (value == "40")
-        return circuit::TechNode::N40;
-    cli::badChoice(flag, value, "28, 40");
-}
 
 circuit::TechNode
 parse(int argc, char **argv)
@@ -45,11 +36,12 @@ parse(int argc, char **argv)
     std::string arg;
     while (args.next(arg)) {
         if (arg == "--node")
-            node = parseNode(arg, args.value(arg));
+            node = core::parseChoice(arg, args.value(arg),
+                                     core::kNodeChoices);
         else if (arg.rfind("--", 0) == 0)
             cli::dieUsage("unknown option '" + arg + "'");
         else
-            node = parseNode("node", arg);
+            node = core::parseChoice("node", arg, core::kNodeChoices);
     }
     return node;
 }

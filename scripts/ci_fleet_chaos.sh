@@ -7,6 +7,9 @@
 # mid-run and restarts it on the same port. The fleet must fail the
 # dead worker over, keep every app exactly-once, and produce a merged
 # report that is byte-for-byte identical (cmp) to the serial golden.
+# Last, an ECC leg: `bvf_fleet campaign --ecc` over GAU and HWL on the
+# surviving workers must cmp to `bvf_sim --ecc --report` of the same
+# apps, so the wire carries ECC check-bit accounting as well as pricing.
 #
 # Usage: scripts/ci_fleet_chaos.sh [path/to/bvfd] [path/to/bvf_fleet] \
 #                                  [path/to/bvf_sim]
@@ -126,6 +129,21 @@ FAILOVERS="$(sed -n 's/.*failovers \([0-9][0-9]*\).*/\1/p' "$WORK/fleet.log")"
 [ -n "$FAILOVERS" ] || fail "no failover accounting in the fleet output"
 [ "$FAILOVERS" -ge 1 ] \
     || fail "the SIGKILL produced no failovers; the kill missed the run"
+
+echo "== ECC leg: bvf_fleet --ecc must match bvf_sim --ecc =="
+"$SIM" --ecc --report "$WORK/ecc-golden.txt" GAU HWL \
+    > "$WORK/ecc-serial.log" 2>&1 \
+    || fail "serial --ecc campaign failed (see $WORK/ecc-serial.log)"
+mkdir -p "$WORK/ecc-shards"
+"$FLEET" --worker "127.0.0.1:$PORT0" --worker "127.0.0.1:$PORT1" \
+    --worker "127.0.0.1:$PORT2" \
+    --heartbeat-ms 100 --deadline-ms 60000 --backoff-ms 50 \
+    campaign GAU HWL --ecc --journal-dir "$WORK/ecc-shards" \
+    --report "$WORK/ecc-merged.txt" \
+    > "$WORK/ecc-fleet.log" 2>&1 \
+    || fail "bvf_fleet --ecc campaign failed (see $WORK/ecc-fleet.log)"
+cmp "$WORK/ecc-golden.txt" "$WORK/ecc-merged.txt" \
+    || fail "--ecc merged report differs from bvf_sim --ecc"
 
 echo "PASS: fleet survived a SIGKILL+restart with a bit-identical report"
 rm -rf "$WORK"

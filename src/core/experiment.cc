@@ -17,6 +17,29 @@ namespace bvf::core
 using coder::Scenario;
 using coder::UnitId;
 
+namespace
+{
+
+/**
+ * The one checked run: @p run with fatal() trapped, any failure
+ * returned as Failed, or as Timeout when options.cancel has expired.
+ */
+template <typename Fn>
+Result<AppRun>
+checkedRun(const RunOptions &options, Fn run)
+{
+    try {
+        ScopedFatalTrap trap;
+        return run();
+    } catch (const std::exception &e) {
+        const bool timedOut = options.cancel && options.cancel->expired();
+        return Error{timedOut ? ErrorCode::Timeout : ErrorCode::Failed,
+                     e.what()};
+    }
+}
+
+} // namespace
+
 ExperimentDriver::ExperimentDriver(gpu::GpuConfig config)
     : config_(std::move(config))
 {
@@ -135,38 +158,15 @@ Result<AppRun>
 ExperimentDriver::runProgramChecked(isa::Program program,
                                     const RunOptions &options) const
 {
-    auto classify = [&](const char *what) {
-        const bool timed_out = options.cancel && options.cancel->expired();
-        return Error{timed_out ? ErrorCode::Timeout : ErrorCode::Failed,
-                     what};
-    };
-    try {
-        ScopedFatalTrap trap;
-        return runProgram(std::move(program), options);
-    } catch (const FatalError &e) {
-        return classify(e.what());
-    } catch (const std::exception &e) {
-        return classify(e.what());
-    }
+    return checkedRun(options,
+                      [&] { return runProgram(std::move(program), options); });
 }
 
 Result<AppRun>
 ExperimentDriver::runAppChecked(const workload::AppSpec &spec,
                                 const RunOptions &options) const
 {
-    auto classify = [&](const char *what) {
-        const bool timed_out = options.cancel && options.cancel->expired();
-        return Error{timed_out ? ErrorCode::Timeout : ErrorCode::Failed,
-                     what};
-    };
-    try {
-        ScopedFatalTrap trap;
-        return runApp(spec, options);
-    } catch (const FatalError &e) {
-        return classify(e.what());
-    } catch (const std::exception &e) {
-        return classify(e.what());
-    }
+    return checkedRun(options, [&] { return runApp(spec, options); });
 }
 
 std::vector<AppRun>

@@ -12,10 +12,9 @@
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
 #include "core/experiment.hh"
-#include "fault/fault_model.hh"
 #include "runtime/ordered.hh"
 #include "runtime/thread_pool.hh"
-#include "server/handler.hh"
+#include "server/protocol.hh"
 
 namespace bvf::fleet
 {
@@ -27,31 +26,6 @@ using server::MsgType;
 
 namespace
 {
-
-/**
- * The exact CampaignOptions a serial `bvf_sim campaign` run of this
- * configuration would build -- the digest depends on every field, so
- * this mapping must track bvf_sim's runCampaign() bit for bit.
- */
-campaign::CampaignOptions
-serialEquivalentOptions(const FleetCampaignOptions &o)
-{
-    campaign::CampaignOptions copts;
-    copts.pricing =
-        server::pricingFor(o.node, o.pstate, o.cell, o.ecc, o.cellsBitline);
-    copts.run.dynamicIsa = o.dynamicIsa;
-    copts.run.vsRegisterPivot = static_cast<int>(o.vsPivot);
-    copts.run.fault.seed = 1;
-    copts.run.fault.readDisturbRate = fault::readDisturbFlipProbability(
-        o.cell, copts.pricing.node, copts.pricing.pstate.vdd,
-        static_cast<int>(o.cellsBitline));
-    copts.run.fault.ecc = o.ecc ? fault::EccScheme::Secded72_64
-                                : fault::EccScheme::None;
-    copts.run.fault.enabled = copts.run.fault.readDisturbRate > 0.0;
-    copts.pricing.allowUnreliableCells =
-        copts.run.fault.readDisturbRate > 0.0;
-    return copts;
-}
 
 /** "127.0.0.1:7001" -> "127.0.0.1_7001" (filesystem-safe). */
 std::string
@@ -85,11 +59,12 @@ std::uint32_t
 FleetCampaign::configDigest(
     std::span<const workload::AppSpec> apps) const
 {
-    const core::ExperimentDriver driver(
-        server::machineFor(options_.arch, options_.sched));
-    campaign::CampaignRunner runner(driver,
-                                    serialEquivalentOptions(options_));
-    return runner.configDigest(apps);
+    const core::ExperimentDriver driver(options_.setup.machine());
+    const core::RunPlan plan = options_.setup.campaignPlan();
+    campaign::CampaignOptions copts;
+    copts.run = plan.run;
+    copts.pricing = plan.pricing;
+    return campaign::CampaignRunner(driver, copts).configDigest(apps);
 }
 
 Result<FleetCampaignOutcome>
@@ -100,13 +75,12 @@ FleetCampaign::run(std::span<const workload::AppSpec> apps)
                      "fleet campaign requires --journal-dir: shard "
                      "journals are what the merge merges"};
     }
-    const auto serialOpts = serialEquivalentOptions(options_);
-    if (serialOpts.run.fault.readDisturbRate > 0.0) {
+    if (options_.setup.campaignPlan().run.fault.anyFaults()) {
         return Error{
             ErrorCode::InvalidArgument,
             strFormat("cell %s needs fault injection, which protocol "
                       "v1 cannot express; run it with bvf_sim instead",
-                      circuit::cellKindName(options_.cell).c_str())};
+                      circuit::cellKindName(options_.setup.cell).c_str())};
     }
 
     const std::uint32_t digest = configDigest(apps);
@@ -172,15 +146,7 @@ FleetCampaign::run(std::span<const workload::AppSpec> apps)
 
         server::ChipEnergyRequest req;
         req.query.abbr = spec.abbr;
-        req.query.arch = options_.arch;
-        req.query.sched = options_.sched;
-        req.query.vsPivot = options_.vsPivot;
-        req.query.dynamicIsa = options_.dynamicIsa ? 1 : 0;
-        req.node = options_.node;
-        req.pstate = options_.pstate;
-        req.cell = static_cast<std::uint8_t>(options_.cell);
-        req.ecc = options_.ecc ? 1 : 0;
-        req.cellsBitline = options_.cellsBitline;
+        server::toWire(options_.setup, req);
         Frame frame{MsgType::ChipEnergyRequest, req.encode()};
 
         ExecuteInfo info;

@@ -13,17 +13,19 @@
  *
  * Bit identity with `bvf_sim campaign` holds because:
  *  - the wire carries energies as raw IEEE-754 u64 bit patterns;
- *  - the worker prices each app with the exact handler code a serial
- *    run's driver uses, from the same GpuConfig/RunOptions/Pricing;
- *  - the report's `# config` digest is recomputed locally from a
- *    CampaignOptions built by the same mapping bvf_sim uses;
+ *  - the setup crosses the wire through the one conversion
+ *    (server::toWire/fromWire), and the worker simulates and prices
+ *    with the core::RunSetup mapping that bvf_sim's campaign runs too,
+ *    ECC check-bit accounting included;
+ *  - the report's `# config` digest is recomputed locally from
+ *    RunSetup::campaignPlan(), the plan bvf_sim's campaign runs;
  *  - a first-try remote success records attempts=1 and a failover
  *    does NOT bump attempts (the app itself never failed -- only a
  *    worker did), matching what the serial run would have recorded.
  *
  * The one honest boundary: protocol v1 cannot arm fault injection, so
- * a cell whose serial campaign would enable read-disturb faults
- * (bvf6t) is rejected up front instead of silently priced wrong.
+ * a cell whose campaign plan enables read-disturb faults (bvf6t) is
+ * rejected up front instead of silently priced wrong.
  */
 
 #ifndef BVF_FLEET_FLEET_CAMPAIGN_HH
@@ -33,8 +35,8 @@
 #include <string>
 #include <vector>
 
-#include "circuit/mem_cell.hh"
 #include "common/result.hh"
+#include "core/setup.hh"
 #include "fleet/coordinator.hh"
 #include "fleet/merge.hh"
 #include "workload/app_spec.hh"
@@ -67,16 +69,8 @@ struct FleetCampaignOptions
      */
     int maxRetries = 1;
 
-    // Query knobs, wire-encoded per app. Defaults match bvf_sim's.
-    std::uint8_t arch = 3;  //!< isa::GpuArch index
-    std::uint8_t sched = 0; //!< scheduler policy index
-    std::uint32_t vsPivot = 21;
-    bool dynamicIsa = false;
-    std::uint8_t node = 0;   //!< 0 = 28nm, 1 = 40nm
-    std::uint8_t pstate = 0; //!< 0 nominal, 1 mid, 2 low
-    circuit::CellKind cell = circuit::CellKind::SramBvf8T;
-    bool ecc = false;
-    std::uint32_t cellsBitline = 128;
+    /** The run setup, wire-encoded per app. */
+    core::RunSetup setup;
 };
 
 /** Everything a finished fleet campaign hands back. */

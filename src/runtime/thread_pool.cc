@@ -96,6 +96,7 @@ ThreadPool::popLocal(int self, std::function<void()> &task)
         return false;
     task = std::move(w.deque.back());
     w.deque.pop_back();
+    ++w.executed;
     return true;
 }
 
@@ -118,10 +119,11 @@ ThreadPool::stealFrom(int self, std::function<void()> &task)
         }
         if (stolen) {
             // Counted under the thief's own mutex, which is the lock
-            // stats() reads this counter under.
+            // stats() reads these counters under.
             Worker &me = *workers_[static_cast<std::size_t>(self)];
             std::lock_guard<std::mutex> lock(me.mutex);
             ++me.steals;
+            ++me.executed;
             return true;
         }
     }
@@ -157,7 +159,6 @@ ThreadPool::workerLoop(int self)
         task = nullptr;
         {
             std::lock_guard<std::mutex> lock(me.mutex);
-            ++me.executed;
             me.busyNanos += static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     end - begin)

@@ -37,7 +37,12 @@ namespace bvf::runtime
 /** Aggregate and per-worker execution counters. */
 struct PoolStats
 {
-    std::uint64_t executed = 0; //!< tasks completed
+    /**
+     * Tasks taken to run. A task counts when a worker dequeues it, so
+     * a task whose completion TaskGroup::wait() has seen -- signalled
+     * from inside the task -- is already counted here.
+     */
+    std::uint64_t executed = 0;
     std::uint64_t steals = 0;   //!< tasks taken from another worker
     std::uint64_t busyNanos = 0; //!< summed task execution time
     std::uint64_t wallNanos = 0; //!< pool lifetime so far

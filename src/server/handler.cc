@@ -28,28 +28,16 @@ namespace bvf::server
 namespace
 {
 
-core::RunOptions
-runOptionsFor(std::uint8_t dynamicIsa, std::uint32_t vsPivot)
-{
-    core::RunOptions run;
-    run.dynamicIsa = dynamicIsa != 0;
-    run.vsRegisterPivot = static_cast<int>(vsPivot);
-    return run;
-}
-
 /**
- * Price @p run under @p req's pricing fields into @p resp's cycle,
- * instruction and per-scenario energy tables.
+ * Price @p run under @p setup into @p resp's cycle, instruction and
+ * per-scenario energy tables.
  */
-template <typename Req, typename Resp>
+template <typename Resp>
 void
 priceInto(Resp &resp, const core::ExperimentDriver &driver,
-          const core::AppRun &run, const Req &req)
+          const core::AppRun &run, const core::RunSetup &setup)
 {
-    const core::AppEnergy energy = driver.evaluate(
-        run, pricingFor(req.node, req.pstate,
-                        static_cast<circuit::CellKind>(req.cell),
-                        req.ecc != 0, req.cellsBitline));
+    const core::AppEnergy energy = driver.evaluate(run, setup.pricing());
     resp.cycles = run.gpuStats.cycles;
     resp.instructions = run.gpuStats.sm.issued;
     for (const coder::Scenario s : coder::allScenarios) {
@@ -77,33 +65,6 @@ requestError(Error e)
 }
 
 } // namespace
-
-gpu::GpuConfig
-machineFor(std::uint8_t arch, std::uint8_t sched)
-{
-    static constexpr gpu::SchedulerPolicy policies[] = {
-        gpu::SchedulerPolicy::Gto, gpu::SchedulerPolicy::Lrr,
-        gpu::SchedulerPolicy::TwoLevel};
-    gpu::GpuConfig config = gpu::baselineConfig();
-    config.arch = isa::allGpuArchs()[arch];
-    config.scheduler = policies[sched];
-    return config;
-}
-
-core::Pricing
-pricingFor(std::uint8_t node, std::uint8_t pstate, circuit::CellKind cell,
-           bool ecc, std::uint32_t cellsBitline)
-{
-    core::Pricing pricing;
-    pricing.node = node == 0 ? circuit::TechNode::N28 : circuit::TechNode::N40;
-    pricing.pstate = pstate == 0   ? gpu::pstateNominal()
-                     : pstate == 1 ? gpu::pstateMid()
-                                   : gpu::pstateLow();
-    pricing.cellKind = cell;
-    pricing.ecc = ecc;
-    pricing.cellsPerBitline = static_cast<int>(cellsBitline);
-    return pricing;
-}
 
 Frame
 errorFrame(const Error &error)
@@ -202,11 +163,10 @@ RequestHandler::run(const EvalCoderRequest &req) const
 Result<BitDensityResponse>
 RequestHandler::run(const BitDensityRequest &req) const
 {
-    const AppQuery &q = req.query;
-    const workload::AppSpec &spec = workload::findApp(q.abbr);
-    const core::ExperimentDriver driver(machineFor(q.arch, q.sched));
-    const auto run =
-        driver.runAppChecked(spec, runOptionsFor(q.dynamicIsa, q.vsPivot));
+    const core::RunSetup setup = fromWire(req.query);
+    const workload::AppSpec &spec = workload::findApp(req.query.abbr);
+    const core::ExperimentDriver driver(setup.machine());
+    const auto run = driver.runAppChecked(spec, setup.runOptions());
     if (!run.ok())
         return run.error();
 
@@ -248,34 +208,33 @@ RequestHandler::run(const BitDensityRequest &req) const
 Result<ChipEnergyResponse>
 RequestHandler::run(const ChipEnergyRequest &req) const
 {
-    const AppQuery &q = req.query;
-    const workload::AppSpec &spec = workload::findApp(q.abbr);
-    const core::ExperimentDriver driver(machineFor(q.arch, q.sched));
-    const auto run =
-        driver.runAppChecked(spec, runOptionsFor(q.dynamicIsa, q.vsPivot));
+    const core::RunSetup setup = fromWire(req);
+    const workload::AppSpec &spec = workload::findApp(req.query.abbr);
+    const core::ExperimentDriver driver(setup.machine());
+    const auto run = driver.runAppChecked(spec, setup.runOptions());
     if (!run.ok())
         return run.error();
 
     ChipEnergyResponse resp;
-    priceInto(resp, driver, run.value(), req);
+    priceInto(resp, driver, run.value(), setup);
     return resp;
 }
 
 Result<StaticQueryResponse>
 RequestHandler::run(const StaticQueryRequest &req) const
 {
-    const AppQuery &q = req.query;
-    const workload::AppSpec &spec = workload::findApp(q.abbr);
-    const gpu::GpuConfig config = machineFor(q.arch, q.sched);
+    const core::RunSetup setup = fromWire(req.query);
+    const workload::AppSpec &spec = workload::findApp(req.query.abbr);
+    const gpu::GpuConfig config = setup.machine();
     const isa::Program program = workload::buildProgram(spec);
 
     Word64 isaMask = 0;
-    if (q.dynamicIsa) {
+    if (setup.dynamicIsa) {
         const isa::InstructionEncoder encoder(config.arch);
         isaMask = isa::extractPreferenceMask(encoder.encode(program.body));
     }
-    const core::StaticReport report = core::analyzeStatic(
-        program, config, isaMask, static_cast<int>(q.vsPivot));
+    const core::StaticReport report =
+        core::analyzeStatic(program, config, isaMask, setup.vsPivot);
 
     const auto wireBound = [](const auto &b) {
         return StaticQueryResponse::Bound{
@@ -299,9 +258,8 @@ RequestHandler::run(const StaticQueryRequest &req) const
 Result<StaticAdviceResponse>
 RequestHandler::run(const StaticAdviceRequest &req) const
 {
-    const AppQuery &q = req.query;
-    const workload::AppSpec &spec = workload::findApp(q.abbr);
-    const gpu::GpuConfig config = machineFor(q.arch, q.sched);
+    const workload::AppSpec &spec = workload::findApp(req.query.abbr);
+    const gpu::GpuConfig config = fromWire(req.query).machine();
     const isa::Program program = workload::buildProgram(spec);
 
     analysis::AdvisorOptions opts;
@@ -386,12 +344,13 @@ RequestHandler::run(const EvalSubmittedRequest &req) const
                                req.digest.c_str())};
     }
 
-    const core::ExperimentDriver driver(machineFor(req.arch, req.sched));
+    const core::RunSetup setup = fromWire(req);
+    const core::ExperimentDriver driver(setup.machine());
     // The certificate is enforced while the kernel runs: the probe
     // fatal()s -- trapped by serve() -- on any trip-count or footprint
     // escape, which would be a verifier soundness bug.
     core::ContractProbe probe(stored->certificate);
-    core::RunOptions options = runOptionsFor(req.dynamicIsa, req.vsPivot);
+    core::RunOptions options = setup.runOptions();
     options.probe = &probe;
     // A certificate proving uniform control flow unlocks the SM's
     // specialized dispatch loop (results are byte-identical).
@@ -402,7 +361,7 @@ RequestHandler::run(const EvalSubmittedRequest &req) const
         return run.error();
 
     EvalSubmittedResponse resp;
-    priceInto(resp, driver, run.value(), req);
+    priceInto(resp, driver, run.value(), setup);
     resp.maxWarpIssue = probe.maxIssued();
     resp.checkedAccesses = probe.checkedAccesses();
     return resp;

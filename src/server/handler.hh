@@ -29,21 +29,6 @@
 namespace bvf::server
 {
 
-/**
- * The machine a request's wire indices name: the baseline GPU with
- * isa::GpuArch index @p arch and gpu::SchedulerPolicy index @p sched
- * (0 GTO, 1 LRR, 2 two-level). Indices are range-checked at decode.
- */
-gpu::GpuConfig machineFor(std::uint8_t arch, std::uint8_t sched);
-
-/**
- * The pricing a request's wire settings name: @p node 0 = 28nm, else
- * 40nm; @p pstate 0 nominal, 1 mid, else low.
- */
-core::Pricing pricingFor(std::uint8_t node, std::uint8_t pstate,
-                         circuit::CellKind cell, bool ecc,
-                         std::uint32_t cellsBitline);
-
 /** Executes decoded requests. Thread-safe; share one per daemon. */
 class RequestHandler
 {

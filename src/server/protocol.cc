@@ -175,12 +175,12 @@ void
 checkMachine(Io &io, std::uint8_t arch, std::uint8_t sched,
              std::uint32_t vsPivot, std::uint8_t dynamicIsa)
 {
-    io.check(arch <= 3, kInvalid, "architecture index %u out of range",
-             arch);
-    io.check(sched <= 2, kInvalid, "scheduler index %u out of range",
-             sched);
-    io.check(vsPivot <= 31, kInvalid, "VS pivot %u out of range [0, 31]",
-             vsPivot);
+    io.check(arch < core::kArchChoices.size(), kInvalid,
+             "architecture index %u out of range", arch);
+    io.check(sched < core::kSchedChoices.size(), kInvalid,
+             "scheduler index %u out of range", sched);
+    io.check(vsPivot <= core::kMaxVsPivot, kInvalid,
+             "VS pivot %u out of range [0, 31]", vsPivot);
     io.check(dynamicIsa <= 1, kInvalid, "dynamic-ISA flag %u is not 0 or 1",
              dynamicIsa);
 }
@@ -195,15 +195,16 @@ template <typename Io, typename M>
 void
 checkPricing(Io &io, const M &m)
 {
-    io.check(m.node <= 1, kInvalid, "technology node index %u out of range",
-             m.node);
-    io.check(m.pstate <= 2, kInvalid, "P-state index %u out of range",
-             m.pstate);
-    io.check(m.cell <= 4, kInvalid, "cell kind index %u out of range",
-             m.cell);
+    io.check(m.node < core::kNodeChoices.size(), kInvalid,
+             "technology node index %u out of range", m.node);
+    io.check(m.pstate < core::kPStateChoices.size(), kInvalid,
+             "P-state index %u out of range", m.pstate);
+    io.check(m.cell < core::kCellChoices.size(), kInvalid,
+             "cell kind index %u out of range", m.cell);
     io.check(m.ecc <= 1, kInvalid, "ECC flag %u is not 0 or 1", m.ecc);
-    io.check(m.cellsBitline >= 1 && m.cellsBitline <= 8192, kInvalid,
-             "cells per bitline %u out of range [1, 8192]", m.cellsBitline);
+    io.check(m.cellsBitline >= 1 && m.cellsBitline <= core::kMaxCellsBitline,
+             kInvalid, "cells per bitline %u out of range [1, 8192]",
+             m.cellsBitline);
 }
 
 template <typename Io>

@@ -50,6 +50,7 @@
 #include "coder/scenario.hh"
 #include "common/bytes.hh"
 #include "common/result.hh"
+#include "core/setup.hh"
 
 namespace bvf::server
 {
@@ -380,6 +381,57 @@ struct EvalSubmittedRequest : WireCodec<EvalSubmittedRequest>
     std::uint8_t ecc = 0;
     std::uint32_t cellsBitline = 128;
 };
+
+/**
+ * The one conversion between a core::RunSetup and the request fields
+ * that carry it, each choice as its enum index: one map of field pairs
+ * that toWire() and fromWire() both run. It covers the machine (arch,
+ * sched, pivot, dynamic ISA) of an AppQuery or of a request holding
+ * one, and the pricing (node, P-state, cell, ECC, cells per bitline)
+ * where the request has it. An AppQuery's abbr is the caller's;
+ * fromWire() leaves what @p m does not carry at RunSetup's defaults,
+ * and decode has range-checked every index.
+ */
+template <typename M, typename S, typename F>
+void
+setupFields(M &m, S &s, F field)
+{
+    if constexpr (requires { m.query; }) {
+        setupFields(m.query, s, field);
+    } else {
+        field(m.arch, s.arch);
+        field(m.sched, s.sched);
+        field(m.vsPivot, s.vsPivot);
+        field(m.dynamicIsa, s.dynamicIsa);
+    }
+    if constexpr (requires { m.node; }) {
+        field(m.node, s.node);
+        field(m.pstate, s.pstate);
+        field(m.cell, s.cell);
+        field(m.ecc, s.ecc);
+        field(m.cellsBitline, s.cellsBitline);
+    }
+}
+
+template <typename M>
+void
+toWire(const core::RunSetup &setup, M &m)
+{
+    setupFields(m, setup, []<typename W>(W &wire, const auto &value) {
+        wire = static_cast<W>(value);
+    });
+}
+
+template <typename M>
+core::RunSetup
+fromWire(const M &m)
+{
+    core::RunSetup setup;
+    setupFields(m, setup, []<typename V>(const auto &wire, V &value) {
+        value = static_cast<V>(wire);
+    });
+    return setup;
+}
 
 struct EvalSubmittedResponse : WireCodec<EvalSubmittedResponse>
 {

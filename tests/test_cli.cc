@@ -5,7 +5,8 @@
  * diagnostics that bvf_sim and bvf_lint both relied on before the
  * parser was unified; plus bvf_client's transport paths (retries
  * against a refusing port, a resolved host name) against a real
- * in-process daemon.
+ * in-process daemon; plus the run-setup flags every front end shares,
+ * pinned by spelling and by diagnostic text.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hh"
@@ -309,6 +311,139 @@ TEST(ExitTwo, AssemblerValidatesItsCommandLine)
     EXPECT_NE(out.find("unknown command"), std::string::npos) << out;
     EXPECT_EQ(runTool("bvf_asm", "asm", out), kExitUsage);
     EXPECT_EQ(runTool("bvf_asm", "dump", out), kExitUsage);
+}
+
+// --- The run-setup flags, pinned per front end ------------------------
+
+/**
+ * A front end that takes every run-setup flag, and the arguments after
+ * which it stops once parsing is done: bvf_sim lists the suite (exit
+ * 0), bvf_fleet and bvf_client refuse the missing command (exit 2 with
+ * their own diagnostic). Nothing is simulated and nothing connects.
+ */
+struct SetupFrontEnd
+{
+    const char *tool;
+    const char *tail;
+    int status;
+    const char *marker; //!< proof that parsing reached the end
+};
+
+constexpr SetupFrontEnd kSetupFrontEnds[] = {
+    {"bvf_sim", "--list", 0, "The 58-application evaluation suite"},
+    {"bvf_fleet", "", kExitUsage,
+     "bvf_fleet: command must be 'campaign' or 'serve'\n"},
+    {"bvf_client", "", kExitUsage, "bvf_client: no command (ping, "},
+};
+
+TEST(SetupFlags, EveryFrontEndAcceptsEverySpelling)
+{
+    const char *accepted[] = {
+        "--arch fermi",      "--arch kepler",       "--arch maxwell",
+        "--arch pascal",     "--sched gto",         "--sched lrr",
+        "--sched two",       "--node 28",           "--node 40",
+        "--pstate 700",      "--pstate 500",        "--pstate 300",
+        "--cell bvf8t",      "--cell bvf6t",        "--cell 8t",
+        "--cell 6t",         "--cell edram",        "--pivot 0",
+        "--pivot 31",        "--dynamic-isa",       "--ecc",
+        "--cells-bitline 1", "--cells-bitline 8192",
+    };
+    for (const SetupFrontEnd &fe : kSetupFrontEnds) {
+        for (const char *flag : accepted) {
+            std::string out;
+            EXPECT_EQ(runTool(fe.tool,
+                              strFormat("%s %s", flag, fe.tail), out),
+                      fe.status)
+                << fe.tool << " " << flag << ": " << out;
+            EXPECT_NE(out.find(fe.marker), std::string::npos)
+                << fe.tool << " " << flag << ": " << out;
+        }
+    }
+}
+
+/** A bad setup value and the diagnostic every front end prints. */
+struct BadValue
+{
+    const char *args;
+    const char *diagnostic;
+};
+
+constexpr BadValue kBadArch = {
+    "--arch volta",
+    "invalid value 'volta' for --arch: expected one of fermi, kepler, "
+    "maxwell, pascal"};
+constexpr BadValue kBadNode = {
+    "--node 90", "invalid value '90' for --node: expected one of 28, 40"};
+
+TEST(SetupFlags, BadValuesExitTwoWithTheSameTextEverywhere)
+{
+    const BadValue bad[] = {
+        kBadArch,
+        {"--sched fifo",
+         "invalid value 'fifo' for --sched: expected one of gto, lrr, two"},
+        {"--cell 7t", "invalid value '7t' for --cell: expected one of "
+                      "bvf8t, bvf6t, 8t, 6t, edram"},
+        kBadNode,
+        {"--pstate 600", "invalid value '600' for --pstate: expected one "
+                         "of 700, 500, 300"},
+        {"--pivot 32", "value 32 for --pivot is out of range [0, 31]"},
+        {"--cells-bitline 0",
+         "value 0 for --cells-bitline is out of range [1, 8192]"},
+    };
+    for (const SetupFrontEnd &fe : kSetupFrontEnds) {
+        for (const BadValue &b : bad) {
+            std::string out;
+            EXPECT_EQ(runTool(fe.tool, b.args, out), kExitUsage)
+                << fe.tool << " " << b.args;
+            EXPECT_EQ(out, strFormat("%s: %s\n", fe.tool, b.diagnostic))
+                << fe.tool << " " << b.args;
+        }
+    }
+}
+
+TEST(SetupFlags, SingleChoiceToolsParseArchAndNodeTheSameWay)
+{
+    // Each accepted spelling is followed by an argument the tool
+    // refuses only after the spelling has been parsed.
+    const std::pair<const char *, const char *> accepted[] = {
+        {"bvf_lint", "--arch fermi --json"},
+        {"bvf_lint", "--arch pascal --json"},
+        {"bvf_rtl", "emit --arch kepler --bogus"},
+        {"bvf_rtl", "cosim --arch maxwell --bogus"},
+        {"chip_power_report", "--node 40 KMN TRI"},
+        {"chip_power_report", "28 KMN TRI"},
+        {"sram_designer", "--node 28 --bogus"},
+        {"sram_designer", "40 --bogus"},
+    };
+    for (const auto &[tool, args] : accepted) {
+        std::string out;
+        EXPECT_EQ(runTool(tool, args, out), kExitUsage) << tool << args;
+        EXPECT_EQ(out.find("invalid value"), std::string::npos)
+            << tool << " " << args << ": " << out;
+    }
+
+    const std::pair<const char *, std::string> refused[] = {
+        {"bvf_lint", std::string(kBadArch.args)},
+        {"bvf_rtl", std::string("emit ") + kBadArch.args},
+        {"bvf_rtl", std::string("cosim ") + kBadArch.args},
+        {"chip_power_report", kBadNode.args},
+        {"sram_designer", kBadNode.args},
+    };
+    for (const auto &[tool, args] : refused) {
+        std::string out;
+        EXPECT_EQ(runTool(tool, args, out), kExitUsage) << tool << args;
+        const char *diagnostic =
+            args.find("--arch") != std::string::npos ? kBadArch.diagnostic
+                                                     : kBadNode.diagnostic;
+        EXPECT_EQ(out, strFormat("%s: %s\n", tool, diagnostic))
+            << tool << " " << args;
+    }
+
+    // The positional node spelling names its own "flag".
+    std::string out;
+    EXPECT_EQ(runTool("sram_designer", "90nm", out), kExitUsage);
+    EXPECT_EQ(out, "sram_designer: invalid value '90nm' for node: "
+                   "expected one of 28, 40\n");
 }
 
 } // namespace

@@ -607,6 +607,18 @@ fleetOver(const std::vector<WorkerAddress> &workers)
     return o;
 }
 
+/**
+ * fleetOver() for campaign tests, whose requests simulate whole apps:
+ * in a sanitizer build one GAU takes longer than fleetOver's 5 s.
+ */
+FleetOptions
+campaignFleetOver(const std::vector<WorkerAddress> &workers)
+{
+    FleetOptions o = fleetOver(workers);
+    o.requestDeadline = 60000ms;
+    return o;
+}
+
 TEST(Coordinator, RoutesAndAnswersPings)
 {
     LiveWorker w0, w1;
@@ -878,7 +890,7 @@ TEST(FleetCampaign, ReportIsByteIdenticalToSerial)
     ASSERT_TRUE(ref.ok());
 
     LiveWorker w0, w1;
-    Coordinator coord(fleetOver({w0.address(), w1.address()}));
+    Coordinator coord(campaignFleetOver({w0.address(), w1.address()}));
     FleetCampaignOptions opts;
     opts.journalDir = dir.path("shards");
     ASSERT_EQ(::mkdir(opts.journalDir.c_str(), 0755), 0);
@@ -903,6 +915,41 @@ TEST(FleetCampaign, ReportIsByteIdenticalToSerial)
     w1.kill();
 }
 
+TEST(FleetCampaign, EccReportIsByteIdenticalToSerial)
+{
+    TempDir dir;
+    const auto apps = fastApps();
+
+    // Serial reference, as `bvf_sim --ecc` runs its campaign: SECDED
+    // check bits counted by the accountant and priced in the arrays.
+    core::ExperimentDriver driver(gpu::baselineConfig());
+    campaign::CampaignOptions serialOpts;
+    serialOpts.run.fault.ecc = fault::EccScheme::Secded72_64;
+    serialOpts.pricing.ecc = true;
+    campaign::CampaignRunner serial(driver, serialOpts);
+    const auto ref = serial.run(apps);
+    ASSERT_TRUE(ref.ok());
+
+    LiveWorker w0;
+    Coordinator coord(campaignFleetOver({w0.address()}));
+    FleetCampaignOptions opts;
+    opts.journalDir = dir.path("shards");
+    ASSERT_EQ(::mkdir(opts.journalDir.c_str(), 0755), 0);
+    opts.jobs = 2;
+    opts.setup.ecc = true;
+    FleetCampaign fleet(coord, opts);
+    auto outcome = fleet.run(apps);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().describe();
+
+    EXPECT_EQ(outcome.value().report.render(), ref.value().render());
+    EXPECT_EQ(fleet.configDigest(apps), ref.value().configCrc);
+
+    for (const auto &p : outcome.value().shardPaths)
+        ::unlink(p.c_str());
+    ::rmdir(opts.journalDir.c_str());
+    w0.kill();
+}
+
 TEST(FleetCampaign, SurvivesADeadWorkerAndStaysByteIdentical)
 {
     TempDir dir;
@@ -915,10 +962,7 @@ TEST(FleetCampaign, SurvivesADeadWorkerAndStaysByteIdentical)
     ASSERT_TRUE(ref.ok());
 
     LiveWorker w0, w1;
-    std::vector<WorkerAddress> addrs = {w0.address(), w1.address()};
-    FleetOptions fopts = fleetOver(addrs);
-    fopts.requestDeadline = 60000ms;
-    Coordinator coord(fopts);
+    Coordinator coord(campaignFleetOver({w0.address(), w1.address()}));
 
     // One worker is already dead when the campaign starts: every app
     // it owned must fail over to the survivor, and the report must
@@ -948,7 +992,7 @@ TEST(FleetCampaign, RejectsUnreliableCellsHonestly)
     Coordinator coord(fleetOver({w0.address()}));
     FleetCampaignOptions opts;
     opts.journalDir = dir.path("shards");
-    opts.cell = circuit::CellKind::SramBvf6T;
+    opts.setup.cell = circuit::CellKind::SramBvf6T;
     FleetCampaign fleet(coord, opts);
     const auto apps = fastApps();
     auto outcome = fleet.run(apps);

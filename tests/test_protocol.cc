@@ -19,6 +19,7 @@
 #include "common/rng.hh"
 #include "server/handler.hh"
 #include "server/protocol.hh"
+#include "workload/app_spec.hh"
 
 namespace bvf::server
 {
@@ -270,6 +271,39 @@ TEST(Messages, LongDigestIsInvalidNotTruncated)
     const auto over = EvalSubmittedRequest::decode(req.encode());
     ASSERT_FALSE(over.ok());
     EXPECT_EQ(over.error().code, ErrorCode::InvalidArgument);
+}
+
+TEST(Handler, EccChipEnergyMatchesTheCampaignMappingBitForBit)
+{
+    // An ecc=1 request must count the SECDED check bits exactly as a
+    // campaign run of the same setup does, not only price the arrays.
+    core::RunSetup setup;
+    setup.ecc = true;
+    ChipEnergyRequest req;
+    toWire(setup, req);
+    req.query.abbr = "GAU";
+    const Frame answer =
+        RequestHandler{}.handle({MsgType::ChipEnergyRequest, req.encode()});
+    ASSERT_EQ(answer.type, MsgType::ChipEnergyResponse);
+    const auto resp = ChipEnergyResponse::decode(answer.payload);
+    ASSERT_TRUE(resp.ok());
+
+    const core::RunPlan plan = setup.campaignPlan();
+    const core::ExperimentDriver driver(setup.machine());
+    const core::AppRun run = driver.runApp(workload::findApp("GAU"), plan.run);
+    const core::AppEnergy energy = driver.evaluate(run, plan.pricing);
+    EXPECT_EQ(resp.value().cycles, run.gpuStats.cycles);
+    EXPECT_EQ(resp.value().instructions, run.gpuStats.sm.issued);
+    for (const coder::Scenario s : coder::allScenarios) {
+        const auto i = static_cast<std::size_t>(coder::scenarioIndex(s));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(resp.value().chipEnergy[i]),
+                  std::bit_cast<std::uint64_t>(energy.at(s).chipTotal()))
+            << coder::scenarioName(s);
+        EXPECT_EQ(
+            std::bit_cast<std::uint64_t>(resp.value().bvfUnitsEnergy[i]),
+            std::bit_cast<std::uint64_t>(energy.at(s).bvfUnitsTotal()))
+            << coder::scenarioName(s);
+    }
 }
 
 TEST(Handler, MalformedRequestsAreInvalidArgumentNotWireDamage)
